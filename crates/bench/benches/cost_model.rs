@@ -68,7 +68,7 @@ fn bench_cache(c: &mut Criterion) {
     });
     group.bench_with_input(BenchmarkId::new("sweep", "cached"), &programs, |b, ps| {
         b.iter(|| {
-            // A fresh cache per iteration, as the pipeline uses per placement.
+            // A fresh cache per iteration, as a per-placement caller uses it.
             let cached = CachedCostModel::new(Arc::clone(&model));
             ps.iter().map(|p| cached.program_time(p)).sum::<f64>()
         });

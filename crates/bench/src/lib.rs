@@ -13,9 +13,9 @@ use std::sync::Arc;
 use p2_core::{ExperimentResult, P2Builder, P2Config, P2Error, RunObserver, P2};
 
 pub use p2_core::{run_batch, BatchOptions, BatchOutcome};
-use p2_cost::{CachedCostModel, CostAccumulator, CostModel, CostModelKind, NcclAlgo};
+use p2_cost::{CostModel, CostModelKind, NcclAlgo, StepTimes};
 use p2_placement::{for_each_matrix, MatrixControl, ParallelismMatrix};
-use p2_synthesis::{HierarchyKind, Program, SinkControl, Synthesizer};
+use p2_synthesis::{EmittedProgram, HierarchyKind, Program, SinkControl, Synthesizer};
 use p2_topology::{presets, SystemTopology};
 
 /// Which GPU system a configuration runs on.
@@ -275,10 +275,11 @@ pub use p2_cost::cost_model_from_args;
 /// [`Synthesizer::for_each_program`], cloning at most the `k` shortest
 /// programs per matrix while still counting every emitted program — the two
 /// modes the `streaming_vs_materialized` bench compares. When a [`CostModel`]
-/// is supplied, every emitted program is additionally lowered and predicted
-/// through a fresh per-matrix [`CachedCostModel`], mirroring the pipeline's
-/// costing path (the `cost_model` bench times exactly this). The returned
-/// count is identical in every mode and for any thread count.
+/// is supplied, the sweep streams through [`Synthesizer::for_each_lowered`]
+/// instead and predicts every program by folding per-step times from a fresh
+/// per-matrix [`StepTimes`] — the pipeline's costing path (the `cost_model`
+/// bench times exactly this). The returned count is identical in every mode
+/// and for any thread count.
 pub fn sweep_synthesis(
     matrices: &[ParallelismMatrix],
     reduction: &[usize],
@@ -290,35 +291,38 @@ pub fn sweep_synthesis(
     p2_par::par_map_threads(threads, matrices, |_, m| {
         let synth = Synthesizer::new(m.clone(), reduction.to_vec(), HierarchyKind::ReductionAxes)
             .expect("valid synthesizer");
-        let cache = cost.map(|model| CachedCostModel::new(Arc::clone(model)));
-        let predict = |program: &Program| {
-            if let Some(model) = &cache {
-                let lowered = synth.lower(program).expect("synthesized programs lower");
-                let mut acc = CostAccumulator::new(model);
-                for step in &lowered.steps {
-                    acc.push(step);
-                }
-                assert!(acc.seconds() >= 0.0, "admissibility violated");
+        // The stream arrives shortest-first, so bounded retention of the k
+        // shortest programs is simply "clone the first k".
+        let limit = keep_top.unwrap_or(usize::MAX);
+        let mut retained: Vec<Program> = Vec::new();
+        let mut retain = |program: &Program| {
+            if retained.len() < limit {
+                retained.push(program.clone());
             }
         };
-        match keep_top {
-            None => {
-                let programs = synth.synthesize(max_program_size).programs;
-                programs.iter().for_each(&predict);
-                programs.len()
+        match (cost, keep_top) {
+            (Some(model), _) => {
+                let mut times = StepTimes::new(model.as_ref());
+                synth
+                    .for_each_lowered(max_program_size, |emitted: &EmittedProgram<'_>| {
+                        let predicted = times
+                            .program_time(emitted, f64::INFINITY)
+                            .expect("no bound prunes");
+                        assert!(predicted >= 0.0, "admissibility violated");
+                        retain(emitted.program);
+                        SinkControl::Continue
+                    })
+                    .expect("synthesized programs lower")
+                    .programs_emitted
             }
-            Some(k) => {
-                // The stream arrives shortest-first, so bounded retention of
-                // the k shortest programs is simply "clone the first k".
-                let mut retained: Vec<Program> = Vec::new();
-                let stats = synth.for_each_program(max_program_size, &mut |p: &Program| {
-                    predict(p);
-                    if retained.len() < k {
-                        retained.push(p.clone());
-                    }
-                    SinkControl::Continue
-                });
-                stats.programs_emitted
+            (None, None) => synth.synthesize(max_program_size).programs.len(),
+            (None, Some(_)) => {
+                synth
+                    .for_each_program(max_program_size, &mut |p: &Program| {
+                        retain(p);
+                        SinkControl::Continue
+                    })
+                    .programs_emitted
             }
         }
     })

@@ -219,8 +219,7 @@ impl P2Builder {
         self
     }
 
-    /// Enables or disables the per-placement step-cost cache (see
-    /// [`P2Config::cost_cache`]).
+    /// Sets [`P2Config::cost_cache`].
     pub fn cost_cache(mut self, cost_cache: bool) -> Self {
         self.cost_cache = Some(cost_cache);
         self

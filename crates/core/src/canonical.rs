@@ -23,8 +23,9 @@
 //!   topologies that differ only in naming plan identically.
 //! * **`threads`** — results are bit-identical for any worker count (pinned
 //!   in `tests/determinism.rs`).
-//! * **`cost_cache`** — the step-cost cache keys on the exact step, so it
-//!   removes recomputation without changing predictions.
+//! * **`cost_cache`** — the pipeline predicts each distinct step once
+//!   whatever its value, and the step-cost cache keys on the exact step, so
+//!   neither path changes a prediction.
 //! * **`shared_intern` / `shared_tables`** — table sharing is
 //!   result-invisible by the PR 6/7 determinism pins.
 //!

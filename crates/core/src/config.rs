@@ -75,11 +75,13 @@ pub struct P2Config {
     /// `Some(model)` substitutes any [`CostModel`] implementation; build one
     /// from a CLI name with [`P2Config::make_cost_model`].
     pub cost_model: Option<Arc<dyn CostModel>>,
-    /// Whether the sweep wraps the cost model in a per-placement
-    /// [`p2_cost::CachedCostModel`], interning step times per
-    /// (hierarchy-level, collective, size-class) class. Caching never changes
-    /// predictions (the cache key pins the exact step), it only removes
-    /// recomputation; defaults to `true`.
+    /// Whether callers that cost whole lowered programs one at a time (the
+    /// benchmark's traced replay) wrap the cost model in a per-placement
+    /// [`p2_cost::CachedCostModel`]. The pipeline itself predicts each
+    /// distinct search-DAG step once per placement
+    /// ([`p2_cost::StepTimes`]) either way, so the flag never changes a
+    /// result or a prediction count of [`P2::run`](crate::P2::run); defaults
+    /// to `true`.
     pub cost_cache: bool,
     /// Whether the sweep shares one device-state interner and collective
     /// transposition table ([`p2_collectives::SharedTables`]) across all of
@@ -289,8 +291,7 @@ impl P2Config {
         self
     }
 
-    /// Enables or disables the per-placement step-cost cache (see
-    /// [`P2Config::cost_cache`]).
+    /// Sets [`P2Config::cost_cache`].
     pub fn with_cost_cache(mut self, cost_cache: bool) -> Self {
         self.cost_cache = cost_cache;
         self

@@ -4,14 +4,14 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use p2_collectives::SharedTables;
-use p2_cost::{AlphaBetaModel, CachedCostModel, CostAccumulator, CostModel};
+use p2_cost::{AlphaBetaModel, CostModel, StepTimes};
 use p2_exec::{ExecConfig, Executor};
 use p2_par::{JobHandle, Scheduler};
 use p2_placement::{
     enumerate_matrices, for_each_matrix, MatrixControl, MatrixSink, ParallelismMatrix,
 };
 use p2_synthesis::{
-    baseline_allreduce, LoweredProgram, MemoBank, Program, SinkControl, SynthesisError, Synthesizer,
+    baseline_allreduce, EmittedProgram, LoweredProgram, MemoBank, Program, SinkControl, Synthesizer,
 };
 
 use crate::builder::P2Builder;
@@ -443,9 +443,15 @@ impl P2 {
     /// Synthesizes, predicts and optionally measures every program of one
     /// placement — the per-item body of the parallel sweep.
     ///
-    /// Programs are consumed *streaming*: the synthesizer's visitor emits one
-    /// program at a time, which is lowered, costed incrementally and either
-    /// retained or dropped on the spot. With the default configuration
+    /// Programs are consumed *streaming*: the synthesizer's lowered stream
+    /// ([`Synthesizer::for_each_lowered`]) emits one program at a time with
+    /// its steps as ids into the search's step table, and the program is
+    /// costed incrementally and either retained or dropped on the spot.
+    /// Each distinct step is lowered once per placement and predicted the
+    /// first time a program prefix reaches it ([`StepTimes`]), and the
+    /// placement's executor simulates each distinct step once; a program's
+    /// steps are cloned into a [`LoweredProgram`] only when it is measured
+    /// or retained. With the default configuration
     /// (`keep_top = None`, no observer bound) every program is retained and
     /// the results are bit-compatible with the old materializing pipeline;
     /// with [`P2Config::keep_top`] only a bounded top-K heap survives, ranked
@@ -459,10 +465,10 @@ impl P2 {
     /// prediction's seed — normally the placement's own AllReduce baseline —
     /// and activates prefix pruning even without `keep_top`.
     ///
-    /// All predictions come from the configured [`CostModel`]; with
-    /// [`P2Config::cost_cache`] the model is wrapped in a per-placement
-    /// [`CachedCostModel`], which is where the intern table pays off — the
-    /// programs of one placement reuse the same lowered steps over and over.
+    /// All predictions come from the configured [`CostModel`]: a program's
+    /// prediction folds its step times from `+0.0` in program order, the
+    /// model's additivity contract, so it is bit-identical to
+    /// [`CostModel::program_time`] of the lowered program.
     ///
     /// Errors — and panics unwinding through this frame — fire
     /// [`RunObserver::on_placement_aborted`] before propagating, so observers
@@ -522,17 +528,10 @@ impl P2 {
         measure_programs: bool,
         observer: &dyn RunObserver,
     ) -> Result<PlacementEvaluation, P2Error> {
-        // Each placement job builds its own (cheap, stateless) executor, so
-        // jobs spawned onto a shared batch scheduler borrow nothing but the
-        // session itself.
+        // Each placement job builds its own executor, so jobs spawned onto a
+        // shared batch scheduler borrow nothing but the session itself; its
+        // step memo lives exactly as long as this placement's evaluation.
         let executor = Executor::new(&self.config.system, self.exec_config())?;
-        let cache;
-        let cost: &dyn CostModel = if self.config.cost_cache {
-            cache = CachedCostModel::new(Arc::clone(model));
-            &cache
-        } else {
-            model.as_ref()
-        };
         let bound_seed = observer.on_placement_start(index, matrix);
         let mut synthesizer = Synthesizer::new(
             matrix.clone(),
@@ -551,12 +550,13 @@ impl P2 {
             synthesizer = synthesizer.with_build_threads(self.config.threads);
         }
         let baseline = baseline_allreduce(matrix, &self.config.reduction_axes)?;
-        let allreduce_predicted = cost.program_time(&baseline);
+        let allreduce_predicted = model.program_time(&baseline);
         let allreduce_measured = executor.measure(&baseline);
 
         let keep_top = self.config.keep_top;
         let prune_slack = self.config.prune_slack;
         let prune = keep_top.is_some() || bound_seed.is_some();
+        let mut step_times = StepTimes::new(model.as_ref());
         let mut programs: Vec<ProgramEvaluation> = Vec::new();
         let mut heap: BinaryHeap<HeapEntry> = BinaryHeap::new();
         let mut num_programs = 0usize;
@@ -571,54 +571,27 @@ impl P2 {
         if let Some(seed) = bound_seed {
             best_predicted = best_predicted.min(seed);
         }
-        let mut lower_error: Option<SynthesisError> = None;
-        // Evaluation work (lowering, costing, measuring) is interleaved with
-        // the search on the stream; subtracting it from the pass's wall-clock
-        // keeps `synthesis_time` meaning what the paper's tables report.
+        // Evaluation work (costing, measuring) is interleaved with the search
+        // on the stream, and so is lowering each distinct step; subtracting
+        // both from the pass's wall-clock keeps `synthesis_time` meaning what
+        // the paper's tables report.
         let mut evaluation_time = std::time::Duration::ZERO;
 
         let start = Instant::now();
-        let stats =
-            synthesizer.for_each_program(self.config.max_program_size, &mut |program: &Program| {
+        let stats = synthesizer.for_each_lowered(
+            self.config.max_program_size,
+            |emitted: &EmittedProgram<'_>| {
                 let eval_start = Instant::now();
-                let ctrl = (|| {
-                    num_programs += 1;
-                    let lowered = match synthesizer.lower(program) {
-                        Ok(lowered) => lowered,
-                        Err(e) => {
-                            lower_error = Some(e);
-                            return SinkControl::Stop;
-                        }
-                    };
-                    if !prune {
-                        // Exhaustive mode (the default): evaluate and retain every
-                        // program, bit-compatible with the materializing pipeline.
-                        let predicted_seconds = cost.program_time(&lowered);
-                        let measured_seconds = if measure_programs {
-                            executor.measure(&lowered)
-                        } else {
-                            predicted_seconds
-                        };
-                        observer.on_program_retained(
-                            index,
-                            program,
-                            predicted_seconds,
-                            measured_seconds,
-                        );
-                        programs.push(ProgramEvaluation {
-                            program: program.clone(),
-                            lowered,
-                            predicted_seconds,
-                            measured_seconds,
-                        });
-                        return SinkControl::Continue;
-                    }
-                    // Pruned mode: incremental prefix costing against the bound.
-                    // The prefix bound lives in the *predicted* domain, so the
-                    // heap's worst retained time may only tighten it in
-                    // predict-first modes, where ranking time and prediction
-                    // coincide.
-                    let mut bound = best_predicted * (1.0 + prune_slack);
+                num_programs += 1;
+                let program = emitted.program;
+                // Exhaustive mode (the default) evaluates and retains every
+                // program. Pruned mode costs the prefix against the bound; the
+                // bound lives in the *predicted* domain, so the heap's worst
+                // retained time may only tighten it in predict-first modes,
+                // where ranking time and prediction coincide.
+                let mut bound = f64::INFINITY;
+                if prune {
+                    bound = best_predicted * (1.0 + prune_slack);
                     if let Some(k) = keep_top {
                         if !measure_programs && heap.len() == k {
                             if let Some(worst) = heap.peek() {
@@ -626,59 +599,58 @@ impl P2 {
                             }
                         }
                     }
-                    let mut acc = CostAccumulator::new(cost);
-                    for step in &lowered.steps {
-                        acc.push(step);
-                        if acc.exceeds(bound) {
-                            return SinkControl::Continue;
-                        }
+                }
+                if let Some(predicted) = step_times.program_time(emitted, bound) {
+                    if prune {
+                        best_predicted = best_predicted.min(predicted);
                     }
-                    let predicted = acc.seconds();
-                    best_predicted = best_predicted.min(predicted);
-                    let measured = if measure_programs {
-                        executor.measure(&lowered)
-                    } else {
-                        predicted
-                    };
-                    let Some(k) = keep_top else {
-                        // Bound-only pruning (observer-supplied bound, no
-                        // retention limit): keep every survivor.
-                        observer.on_program_retained(index, program, predicted, measured);
-                        programs.push(ProgramEvaluation {
-                            program: program.clone(),
-                            lowered,
-                            predicted_seconds: predicted,
-                            measured_seconds: measured,
-                        });
-                        return SinkControl::Continue;
-                    };
-                    let entry = HeapEntry {
-                        predicted,
-                        measured,
-                        seq,
-                        program: program.clone(),
-                        lowered,
-                    };
-                    seq += 1;
-                    if heap.len() < k {
-                        observer.on_program_retained(index, program, predicted, measured);
-                        heap.push(entry);
-                    } else if let Some(worst) = heap.peek() {
-                        if entry.rank() < worst.rank() {
+                    // Steps are cloned out of the table only for programs
+                    // that are measured or kept.
+                    let measured_lowered = measure_programs.then(|| emitted.to_lowered());
+                    let measured = measured_lowered
+                        .as_ref()
+                        .map_or(predicted, |lowered| executor.measure(lowered));
+                    let lowered = || measured_lowered.unwrap_or_else(|| emitted.to_lowered());
+                    match keep_top {
+                        // No retention limit: keep every survivor.
+                        None => {
                             observer.on_program_retained(index, program, predicted, measured);
-                            heap.pop();
-                            heap.push(entry);
+                            programs.push(ProgramEvaluation {
+                                program: program.clone(),
+                                lowered: lowered(),
+                                predicted_seconds: predicted,
+                                measured_seconds: measured,
+                            });
+                        }
+                        Some(k) => {
+                            let rank = (measured, seq);
+                            seq += 1;
+                            let admitted = heap.len() < k
+                                || heap.peek().is_some_and(|worst| rank < worst.rank());
+                            if admitted {
+                                observer.on_program_retained(index, program, predicted, measured);
+                                if heap.len() == k {
+                                    heap.pop();
+                                }
+                                heap.push(HeapEntry {
+                                    predicted,
+                                    measured,
+                                    seq: rank.1,
+                                    program: program.clone(),
+                                    lowered: lowered(),
+                                });
+                            }
                         }
                     }
-                    SinkControl::Continue
-                })();
+                }
                 evaluation_time += eval_start.elapsed();
-                ctrl
-            });
-        let synthesis_time = start.elapsed().saturating_sub(evaluation_time);
-        if let Some(e) = lower_error {
-            return Err(e.into());
-        }
+                SinkControl::Continue
+            },
+        )?;
+        let synthesis_time = start
+            .elapsed()
+            .saturating_sub(evaluation_time)
+            .saturating_sub(stats.lower_duration);
         debug_assert_eq!(stats.programs_emitted, num_programs);
 
         if keep_top.is_some() {

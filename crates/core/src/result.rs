@@ -31,9 +31,9 @@ pub struct PlacementEvaluation {
     pub matrix: ParallelismMatrix,
     /// Wall-clock time spent synthesizing programs for this placement.
     /// Synthesis and evaluation are interleaved on the program stream, so
-    /// this is the stream's wall-clock minus the time spent lowering,
-    /// costing and measuring — the quantity the paper's "Synthesis time"
-    /// columns report.
+    /// this is the stream's wall-clock minus the time spent lowering each
+    /// distinct step, costing and measuring — the quantity the paper's
+    /// "Synthesis time" columns report.
     pub synthesis_time: Duration,
     /// Number of synthesized programs (every program the stream emitted,
     /// including ones later pruned or displaced from the top-K retention).

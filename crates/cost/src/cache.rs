@@ -1,21 +1,19 @@
-//! An interned per-step cost cache: repeated costing of the same step class
-//! is a hash lookup after the first touch.
+//! An interned per-step cost cache: repeated costing of the same step is a
+//! hash lookup after the first touch.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use p2_collectives::Collective;
+use p2_collectives::{Collective, FxHashMap};
 use p2_synthesis::LoweredStep;
 use p2_topology::SystemTopology;
 
 use crate::model::{CostModel, StepCost};
 
-/// The interning class of a step: the coarse key the cache buckets entries
-/// under. Steps of the same class are candidates for sharing a cached time;
-/// the cache additionally compares the exact group layout before a hit, so a
-/// cached value is only ever returned for a step that would predict
-/// identically.
+/// The coarse class of a step: the outermost hierarchy level it crosses, its
+/// collective and its size. Steps of one class cost alike; a class does not
+/// identify a step, so [`CachedCostModel`] keys its entries by the exact
+/// layout instead.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct StepClass {
     /// The outermost hierarchy level any group of the step crosses (`None`
@@ -46,28 +44,6 @@ impl StepClass {
     }
 }
 
-/// The full interning key: the class plus the exact per-group layout
-/// (input-fraction bits and device ranks). Two steps with equal layouts in
-/// the same class are the same step, so returning the interned time can
-/// never change a prediction.
-type Layout = Vec<(u64, Vec<usize>)>;
-
-fn owned_layout(step: &LoweredStep) -> Layout {
-    step.groups
-        .iter()
-        .map(|g| (g.input_fraction.to_bits(), g.devices.clone()))
-        .collect()
-}
-
-/// Compares a stored layout against a step without allocating — the hot hit
-/// path stays clone-free.
-fn layout_matches(stored: &Layout, step: &LoweredStep) -> bool {
-    stored.len() == step.groups.len()
-        && stored.iter().zip(&step.groups).all(|((bits, devices), g)| {
-            *bits == g.input_fraction.to_bits() && devices == &g.devices
-        })
-}
-
 /// Hit/miss counters of a [`CachedCostModel`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
@@ -84,28 +60,30 @@ impl CacheStats {
     }
 }
 
-/// A caching decorator around any [`CostModel`]: step times are interned per
-/// (hierarchy-level, collective, size-class) class — with the exact group
-/// layout as the discriminating remainder of the key — so repeatedly costing
-/// the same step class is O(1) after the first touch.
+/// A caching decorator around any [`CostModel`]: step times are interned by
+/// the step's exact layout ([`LoweredStep::layout_hash`], confirmed by
+/// [`LoweredStep::same_layout`]), so repeatedly costing the same step is
+/// O(1) after the first touch.
 ///
-/// Synthesized programs of one placement reuse a small set of lowered steps
-/// (the same ReduceScatter over the same reduction groups appears in most
-/// programs), which is what makes the intern table effective: the pipeline
-/// wraps the configured model in a fresh `CachedCostModel` per placement.
+/// Programs of one placement reuse a small set of lowered steps (the same
+/// ReduceScatter over the same reduction groups appears in most programs),
+/// which is what makes the intern table effective for callers that cost
+/// whole [`LoweredProgram`](p2_synthesis::LoweredProgram)s one at a time.
+/// (The pipeline itself predicts each distinct search-DAG step once through
+/// [`StepTimes`](crate::StepTimes) and needs no cache.)
 ///
-/// Because a cached value is only returned for a step whose class *and*
-/// exact group layout are identical — and therefore whose prediction is
-/// identical — caching never changes results; `tests/proptest_cost.rs` pins
-/// this bit for bit. Hits compare the stored layouts against the step in
-/// place, so only misses pay for cloning the device lists into the table.
+/// A cached value is only returned for a step whose layout is identical bit
+/// for bit — and whose prediction is therefore identical — so caching never
+/// changes results; `tests/proptest_cost.rs` pins this bit for bit. Hits
+/// hash the step and compare the stored steps against it in place, so only
+/// misses pay for cloning the step into the table.
 #[derive(Debug)]
 pub struct CachedCostModel {
     inner: Arc<dyn CostModel>,
     name: String,
-    /// The intern table: class → interned (layout, seconds) entries. Classes
-    /// are fine-grained, so buckets hold a handful of layouts at most.
-    cache: Mutex<HashMap<StepClass, Vec<(Layout, f64)>>>,
+    /// The intern table: layout hash → interned (step, seconds) entries.
+    /// Buckets hold more than one entry only on a hash collision.
+    cache: Mutex<FxHashMap<u64, Vec<(LoweredStep, f64)>>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -117,7 +95,7 @@ impl CachedCostModel {
         CachedCostModel {
             inner,
             name,
-            cache: Mutex::new(HashMap::new()),
+            cache: Mutex::new(FxHashMap::default()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
@@ -136,7 +114,7 @@ impl CachedCostModel {
         }
     }
 
-    /// Number of interned step entries across all classes.
+    /// Number of interned step entries.
     pub fn entries(&self) -> usize {
         self.cache
             .lock()
@@ -166,17 +144,15 @@ impl CostModel for CachedCostModel {
     }
 
     fn step_time(&self, step: &LoweredStep) -> f64 {
-        let class = StepClass::of(self.inner.system(), step);
+        let hash = step.layout_hash();
         {
             let cache = self.cache.lock().expect("cost cache poisoned");
-            if let Some(bucket) = cache.get(&class) {
-                if let Some(&(_, seconds)) = bucket
-                    .iter()
-                    .find(|(layout, _)| layout_matches(layout, step))
-                {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    return seconds;
-                }
+            if let Some(&(_, seconds)) = cache
+                .get(&hash)
+                .and_then(|bucket| bucket.iter().find(|(stored, _)| stored.same_layout(step)))
+            {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                return seconds;
             }
         }
         // Compute outside the lock; concurrent misses on the same step would
@@ -185,12 +161,9 @@ impl CostModel for CachedCostModel {
         let seconds = self.inner.step_time(step);
         self.misses.fetch_add(1, Ordering::Relaxed);
         let mut cache = self.cache.lock().expect("cost cache poisoned");
-        let bucket = cache.entry(class).or_default();
-        if !bucket
-            .iter()
-            .any(|(layout, _)| layout_matches(layout, step))
-        {
-            bucket.push((owned_layout(step), seconds));
+        let bucket = cache.entry(hash).or_default();
+        if !bucket.iter().any(|(stored, _)| stored.same_layout(step)) {
+            bucket.push((step.clone(), seconds));
         }
         seconds
     }

@@ -18,14 +18,15 @@
 //!   gap terms, stricter on latency-bound programs;
 //! * [`CalibratedModel`] — any inner model with per-hierarchy-level scale
 //!   factors fitted against measurements (e.g. the `p2_exec` substrate);
-//! * [`CachedCostModel`] — a decorator interning step times per
-//!   (hierarchy-level, collective, size-class) class, so repeated costing of
-//!   the same step class is O(1) after the first touch.
+//! * [`CachedCostModel`] — a decorator interning step times by exact step
+//!   layout, so repeated costing of the same step is O(1) after the first
+//!   touch.
 //!
 //! All models uphold the admissibility requirement documented on
 //! [`CostModel`]: non-negative step times whose in-order sum is the program
-//! time, so the prefix sums of a [`CostAccumulator`] are lower bounds the
-//! streaming pipeline can prune against.
+//! time, so the prefix sums of a [`StepTimes`] fold (or a
+//! [`CostAccumulator`]) are lower bounds the streaming pipeline can prune
+//! against.
 //!
 //! # Example
 //!
@@ -65,4 +66,5 @@ pub use error::CostError;
 pub use loggp::{LogGpModel, DEFAULT_GAP, DEFAULT_OVERHEAD};
 pub use model::{
     cost_model_from_args, CostAccumulator, CostBreakdown, CostModel, CostModelKind, StepCost,
+    StepTimes,
 };

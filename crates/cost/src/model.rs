@@ -1,11 +1,12 @@
 //! The `CostModel` trait: pluggable prediction of lowered-program time, plus
-//! the incremental [`CostAccumulator`] used for admissible prefix pruning.
+//! the incremental [`CostAccumulator`] and the per-search [`StepTimes`] memo
+//! used for admissible prefix pruning.
 
 use std::fmt;
 use std::str::FromStr;
 
 use p2_collectives::Collective;
-use p2_synthesis::{LoweredProgram, LoweredStep};
+use p2_synthesis::{EmittedProgram, LoweredProgram, LoweredStep};
 use p2_topology::SystemTopology;
 
 use crate::error::CostError;
@@ -29,9 +30,10 @@ pub struct CostBreakdown {
 }
 
 impl CostBreakdown {
-    /// Total predicted time: the sum of the step times.
+    /// Total predicted time: the step times folded with `+` from `+0.0` in
+    /// program order (so an empty breakdown totals `+0.0`).
     pub fn total(&self) -> f64 {
-        self.steps.iter().map(|s| s.seconds).sum()
+        self.steps.iter().fold(0.0, |acc, s| acc + s.seconds)
     }
 }
 
@@ -49,14 +51,14 @@ impl CostBreakdown {
 /// # Admissibility requirement
 ///
 /// The streaming pipeline prunes candidates by comparing the *prefix* sums a
-/// [`CostAccumulator`] produces against an upper bound, and drops a candidate
-/// as soon as a prefix exceeds the bound. For that to be sound, every
+/// [`StepTimes`] fold (or a [`CostAccumulator`]) produces against an upper
+/// bound, and drops a candidate as soon as a prefix exceeds the bound. For that to be sound, every
 /// implementation **must** guarantee:
 ///
 /// 1. **Non-negative step times** — `step_time` never returns a negative or
 ///    NaN value, so the running sum never decreases; and
 /// 2. **Additivity** — `program_time` equals folding the per-step times with
-///    `+` from `0.0` in program order (the default implementation does
+///    `+` from `+0.0` in program order (the default implementation does
 ///    exactly this; overrides must preserve it bit for bit, since the
 ///    determinism suite compares accumulated prefixes against totals with
 ///    `==`).
@@ -88,10 +90,13 @@ pub trait CostModel: fmt::Debug + Send + Sync {
     }
 
     /// Predicted time of a whole lowered program, in seconds: the per-step
-    /// times folded with `+` from `0.0` in program order (see the trait-level
+    /// times folded with `+` from `+0.0` in program order (see the trait-level
     /// admissibility requirement before overriding).
     fn program_time(&self, program: &LoweredProgram) -> f64 {
-        program.steps.iter().map(|s| self.step_time(s)).sum()
+        program
+            .steps
+            .iter()
+            .fold(0.0, |acc, s| acc + self.step_time(s))
     }
 
     /// Per-step prediction for a lowered program.
@@ -181,6 +186,50 @@ impl<'m> CostAccumulator<'m> {
     /// whole program's predicted time is guaranteed to exceed it too.
     pub fn exceeds(&self, bound: f64) -> bool {
         self.seconds > bound
+    }
+}
+
+/// Predicted times of one search's distinct lowered steps, indexed by the
+/// step ids of [`Synthesizer::for_each_lowered`](p2_synthesis::Synthesizer::for_each_lowered).
+///
+/// A step is predicted the first time a program prefix reaches it and then
+/// reused by every program through it, so prediction scales with the search
+/// DAG rather than the program count; steps reached only past a pruned
+/// prefix are never predicted. [`StepTimes::program_time`] folds exactly the
+/// values [`CostModel::program_time`] would, in the same order, so the totals
+/// are bit-identical.
+#[derive(Debug)]
+pub struct StepTimes<'m> {
+    model: &'m dyn CostModel,
+    times: Vec<Option<f64>>,
+}
+
+impl<'m> StepTimes<'m> {
+    /// An empty memo over `model`.
+    pub fn new(model: &'m dyn CostModel) -> Self {
+        StepTimes {
+            model,
+            times: Vec::new(),
+        }
+    }
+
+    /// The predicted time of `program`: its step times folded with `+` from
+    /// `+0.0` in program order. Returns `None` as soon as a prefix exceeds
+    /// `bound` (pass `f64::INFINITY` for no bound); steps past that prefix
+    /// are not predicted.
+    pub fn program_time(&mut self, program: &EmittedProgram<'_>, bound: f64) -> Option<f64> {
+        let mut seconds = 0.0;
+        for &id in program.step_ids {
+            if id >= self.times.len() {
+                self.times.resize(id + 1, None);
+            }
+            let model = self.model;
+            seconds += *self.times[id].get_or_insert_with(|| model.step_time(&program.table[id]));
+            if seconds > bound {
+                return None;
+            }
+        }
+        Some(seconds)
     }
 }
 
@@ -287,6 +336,92 @@ impl FromStr for CostModelKind {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    use p2_placement::ParallelismMatrix;
+    use p2_synthesis::{HierarchyKind, Program, SinkControl, Synthesizer};
+    use p2_topology::presets;
+
+    use crate::{AlphaBetaModel, NcclAlgo};
+
+    fn alpha_beta() -> AlphaBetaModel {
+        AlphaBetaModel::new(presets::a100_system(2), NcclAlgo::Ring, 1.0e9).unwrap()
+    }
+
+    /// Counts the step predictions it serves.
+    #[derive(Debug)]
+    struct Counting {
+        inner: AlphaBetaModel,
+        calls: AtomicUsize,
+    }
+
+    impl CostModel for Counting {
+        fn name(&self) -> &str {
+            "counting"
+        }
+
+        fn system(&self) -> &SystemTopology {
+            self.inner.system()
+        }
+
+        fn bytes_per_device(&self) -> f64 {
+            self.inner.bytes_per_device()
+        }
+
+        fn step_cost(&self, step: &LoweredStep) -> StepCost {
+            self.calls.fetch_add(1, Ordering::Relaxed);
+            self.inner.step_cost(step)
+        }
+    }
+
+    #[test]
+    fn zero_step_programs_predict_positive_zero() {
+        let model = alpha_beta();
+        let empty = LoweredProgram {
+            steps: vec![],
+            num_devices: 32,
+        };
+        let zero = 0.0f64.to_bits();
+        assert_eq!(model.program_time(&empty).to_bits(), zero);
+        assert_eq!(model.program_breakdown(&empty).total().to_bits(), zero);
+        assert_eq!(CostAccumulator::new(&model).seconds().to_bits(), zero);
+        let program = Program::empty();
+        let emitted = EmittedProgram {
+            program: &program,
+            step_ids: &[],
+            table: &[],
+            num_devices: 32,
+        };
+        let folded = StepTimes::new(&model).program_time(&emitted, f64::INFINITY);
+        assert_eq!(folded.map(f64::to_bits), Some(zero));
+    }
+
+    #[test]
+    fn step_times_fold_like_program_time_predicting_each_step_once() {
+        let matrix =
+            ParallelismMatrix::new(vec![vec![2, 4], vec![1, 4]], vec![2, 16], vec![8, 4]).unwrap();
+        let synth = Synthesizer::new(matrix, vec![0], HierarchyKind::ReductionAxes).unwrap();
+        let counting = Counting {
+            inner: alpha_beta(),
+            calls: AtomicUsize::new(0),
+        };
+        let reference = alpha_beta();
+        let mut times = StepTimes::new(&counting);
+        let mut table_len = 0;
+        synth
+            .for_each_lowered(4, |emitted: &EmittedProgram<'_>| {
+                let lowered = emitted.to_lowered();
+                let folded = times.program_time(emitted, f64::INFINITY).unwrap();
+                assert_eq!(folded.to_bits(), reference.program_time(&lowered).to_bits());
+                // A bound below the first step's time cuts the fold there.
+                let first = reference.step_time(&lowered.steps[0]);
+                assert_eq!(times.program_time(emitted, first * 0.5), None);
+                table_len = emitted.table.len();
+                SinkControl::Continue
+            })
+            .unwrap();
+        assert_eq!(counting.calls.load(Ordering::Relaxed), table_len);
+    }
 
     #[test]
     fn try_from_args_parses_both_flag_forms() {

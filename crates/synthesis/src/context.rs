@@ -1,6 +1,8 @@
 //! The synthesis context: synthesis-space states, goal, and lowering to
 //! physical device groups (paper §3.5).
 
+use std::sync::OnceLock;
+
 use p2_collectives::{apply_to_groups, State};
 use p2_placement::ParallelismMatrix;
 
@@ -23,6 +25,13 @@ pub struct SynthesisContext {
     hierarchy: SynthesisHierarchy,
     /// Goal groups over synthesis-space indices.
     goal_groups: Vec<Vec<usize>>,
+    /// The goal state of every abstract device, built on first use.
+    goals: OnceLock<Vec<State>>,
+    /// The cosets of [`SynthesisContext::cosets`], built on first use.
+    cosets: OnceLock<Vec<Vec<usize>>>,
+    /// `physical[c][i]`: the device rank of space index `i` in coset `c`,
+    /// built on first use — every lowered step reads it.
+    physical: OnceLock<Vec<Vec<usize>>>,
 }
 
 impl SynthesisContext {
@@ -64,6 +73,9 @@ impl SynthesisContext {
             reduction_axes,
             hierarchy,
             goal_groups,
+            goals: OnceLock::new(),
+            cosets: OnceLock::new(),
+            physical: OnceLock::new(),
         })
     }
 
@@ -103,18 +115,25 @@ impl SynthesisContext {
     /// The desired final state of every abstract device: every chunk reduced
     /// over exactly its goal group (paper §3.5).
     pub fn goal_states(&self) -> Vec<State> {
-        let k = self.space_size();
-        let mut goals = vec![State::empty(k); k];
-        for group in &self.goal_groups {
-            for &d in group {
-                for r in 0..k {
-                    for &other in group {
-                        goals[d].set(r, other, true);
+        self.goals().to_vec()
+    }
+
+    /// The goal states, built once per context.
+    fn goals(&self) -> &[State] {
+        self.goals.get_or_init(|| {
+            let k = self.space_size();
+            let mut goals = vec![State::empty(k); k];
+            for group in &self.goal_groups {
+                for &d in group {
+                    for r in 0..k {
+                        for &other in group {
+                            goals[d].set(r, other, true);
+                        }
                     }
                 }
             }
-        }
-        goals
+            goals
+        })
     }
 
     /// Derives the synthesis-space device groups of one `slice`/`form` pair.
@@ -162,27 +181,52 @@ impl SynthesisContext {
     /// over: every combination of non-reduction axis coordinates for
     /// hierarchy (d), and the single empty coset for (a)–(c).
     pub fn cosets(&self) -> Vec<Vec<usize>> {
-        if self.hierarchy.kind() != HierarchyKind::ReductionAxes {
-            return vec![vec![]];
-        }
-        let free_axes: Vec<usize> = (0..self.matrix.num_axes())
-            .filter(|i| !self.reduction_axes.contains(i))
-            .collect();
-        let mut cosets = vec![vec![]];
-        for &axis in &free_axes {
-            let size = self.matrix.axis_sizes()[axis];
-            cosets = cosets
-                .into_iter()
-                .flat_map(|prefix| {
-                    (0..size).map(move |c| {
-                        let mut v = prefix.clone();
-                        v.push(c);
-                        v
-                    })
-                })
+        self.coset_list().to_vec()
+    }
+
+    /// The cosets, built once per context.
+    fn coset_list(&self) -> &[Vec<usize>] {
+        self.cosets.get_or_init(|| {
+            if self.hierarchy.kind() != HierarchyKind::ReductionAxes {
+                return vec![vec![]];
+            }
+            let free_axes: Vec<usize> = (0..self.matrix.num_axes())
+                .filter(|i| !self.reduction_axes.contains(i))
                 .collect();
+            let mut cosets = vec![vec![]];
+            for &axis in &free_axes {
+                let size = self.matrix.axis_sizes()[axis];
+                cosets = cosets
+                    .into_iter()
+                    .flat_map(|prefix| {
+                        (0..size).map(move |c| {
+                            let mut v = prefix.clone();
+                            v.push(c);
+                            v
+                        })
+                    })
+                    .collect();
+            }
+            cosets
+        })
+    }
+
+    /// The space-to-physical table of every coset, built once per context
+    /// (a failed mapping is returned and not cached).
+    fn physical(&self) -> Result<&[Vec<usize>], SynthesisError> {
+        if let Some(table) = self.physical.get() {
+            return Ok(table);
         }
-        cosets
+        let table = self
+            .coset_list()
+            .iter()
+            .map(|coset| {
+                (0..self.space_size())
+                    .map(|index| self.space_to_physical(index, coset))
+                    .collect::<Result<Vec<usize>, SynthesisError>>()
+            })
+            .collect::<Result<Vec<_>, SynthesisError>>()?;
+        Ok(self.physical.get_or_init(|| table))
     }
 
     /// Full per-axis coordinates for a synthesis-space index of hierarchy (d)
@@ -232,15 +276,15 @@ impl SynthesisContext {
     /// goal state, so reachability pruning (Lemma B.3) only ever compares
     /// against `#goal groups` distinct matrices instead of `k`.
     pub fn distinct_goal_states(&self) -> (Vec<State>, Vec<usize>) {
-        let goals = self.goal_states();
+        let goals = self.goals();
         let mut distinct: Vec<State> = Vec::new();
         let mut index = Vec::with_capacity(goals.len());
         for goal in goals {
-            match distinct.iter().position(|d| *d == goal) {
+            match distinct.iter().position(|d| d == goal) {
                 Some(i) => index.push(i),
                 None => {
                     index.push(distinct.len());
-                    distinct.push(goal);
+                    distinct.push(goal.clone());
                 }
             }
         }
@@ -249,7 +293,7 @@ impl SynthesisContext {
 
     /// Checks whether `states` equals the goal.
     pub fn is_goal(&self, states: &[State]) -> bool {
-        states == self.goal_states()
+        states == self.goals()
     }
 
     /// A necessary condition for the goal to still be reachable: no device may
@@ -292,13 +336,10 @@ impl SynthesisContext {
     /// mapping to physical devices fails.
     pub fn lower(&self, program: &Program) -> Result<LoweredProgram, SynthesisError> {
         let trace = self.trace(program)?;
-        let cosets = self.cosets();
         let mut steps = Vec::with_capacity(program.len());
         for (step_idx, instr) in program.instructions.iter().enumerate() {
             let before = &trace[step_idx];
-            steps.push(
-                self.lower_step_with(instr, &cosets, &mut |idx| before[idx].data_fraction())?,
-            );
+            steps.push(self.lower_step(instr, &mut |idx| before[idx].data_fraction())?);
         }
         Ok(LoweredProgram {
             steps,
@@ -309,10 +350,10 @@ impl SynthesisContext {
     /// Lowers one instruction to a [`LoweredStep`], with each group member's
     /// data fraction supplied by `data_fraction` (called with the member's
     /// synthesis-space index). This is the per-step core of
-    /// [`SynthesisContext::lower`], exposed so the best-cost search can cost
-    /// a single DAG edge: an edge's lowered step depends only on the
-    /// instruction and the pre-state's per-device fractions, never on how the
-    /// search reached that state.
+    /// [`SynthesisContext::lower`], and what the synthesizer's step table
+    /// calls once per distinct DAG edge step: an edge's lowered step depends
+    /// only on the instruction and the pre-state's per-device fractions,
+    /// never on how the search reached that state.
     ///
     /// # Errors
     ///
@@ -322,34 +363,28 @@ impl SynthesisContext {
         instr: &Instruction,
         data_fraction: &mut dyn FnMut(usize) -> f64,
     ) -> Result<LoweredStep, SynthesisError> {
-        self.lower_step_with(instr, &self.cosets(), data_fraction)
-    }
-
-    fn lower_step_with(
-        &self,
-        instr: &Instruction,
-        cosets: &[Vec<usize>],
-        data_fraction: &mut dyn FnMut(usize) -> f64,
-    ) -> Result<LoweredStep, SynthesisError> {
+        let physical = self.physical()?;
         let space_groups: Vec<Vec<usize>> = self
             .derive_groups(instr.slice, instr.form)?
             .into_iter()
             .filter(|g| g.len() >= 2)
             .collect();
-        let mut groups = Vec::new();
-        for coset in cosets {
-            for space_group in &space_groups {
-                let devices: Result<Vec<usize>, SynthesisError> = space_group
-                    .iter()
-                    .map(|&idx| self.space_to_physical(idx, coset))
-                    .collect();
-                let devices = devices?;
-                let input_fraction = space_group
+        // A group's input fraction depends on its space indices only, so it
+        // is the same in every coset.
+        let fractions: Vec<f64> = space_groups
+            .iter()
+            .map(|group| {
+                group
                     .iter()
                     .map(|&idx| data_fraction(idx))
-                    .fold(0.0_f64, f64::max);
+                    .fold(0.0_f64, f64::max)
+            })
+            .collect();
+        let mut groups = Vec::with_capacity(physical.len() * space_groups.len());
+        for row in physical {
+            for (space_group, &input_fraction) in space_groups.iter().zip(&fractions) {
                 groups.push(GroupExec {
-                    devices,
+                    devices: space_group.iter().map(|&idx| row[idx]).collect(),
                     input_fraction,
                 });
             }

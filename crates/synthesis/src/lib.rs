@@ -14,6 +14,8 @@
 //! 3. lowers each program to a [`LoweredProgram`]: explicit per-step groups of
 //!    physical device ranks plus the per-device data fraction each step moves,
 //!    which is what the cost model and the execution simulator consume.
+//!    [`Synthesizer::for_each_lowered`] streams programs with their steps
+//!    already lowered, each distinct search-DAG edge step exactly once.
 //!
 //! # Example
 //!
@@ -43,6 +45,7 @@ mod error;
 mod hierarchy;
 mod lowered;
 mod memo;
+mod steps;
 mod synthesizer;
 
 pub use context::SynthesisContext;
@@ -51,6 +54,7 @@ pub use error::SynthesisError;
 pub use hierarchy::{HierarchyKind, SynthLevel, SynthesisHierarchy};
 pub use lowered::{baseline_allreduce, GroupExec, LoweredProgram, LoweredStep};
 pub use memo::{MemoBank, MemoSlab, MEMO_UNKNOWN};
+pub use steps::EmittedProgram;
 pub use synthesizer::{
     BestCostProgram, ProgramCount, ProgramSink, SinkControl, SynthesisResult, SynthesisStats,
     Synthesizer,

@@ -1,6 +1,8 @@
 //! Lowered reduction programs: explicit per-step physical device groups.
 
-use p2_collectives::Collective;
+use std::hash::{Hash, Hasher};
+
+use p2_collectives::{Collective, FxHasher};
 use p2_placement::ParallelismMatrix;
 
 use crate::error::SynthesisError;
@@ -35,6 +37,31 @@ impl LoweredStep {
             .map(|g| g.devices.len())
             .max()
             .unwrap_or(0)
+    }
+
+    /// A hash of the step's exact layout: the collective and, per group in
+    /// order, the device ranks and the input-fraction bits. Steps with the
+    /// [`same_layout`](LoweredStep::same_layout) hash equally, so a memo
+    /// keyed by this hash and confirmed by `same_layout` is exact.
+    pub fn layout_hash(&self) -> u64 {
+        let mut hasher = FxHasher::default();
+        self.collective.hash(&mut hasher);
+        for group in &self.groups {
+            group.devices.hash(&mut hasher);
+            group.input_fraction.to_bits().hash(&mut hasher);
+        }
+        hasher.finish()
+    }
+
+    /// Whether two steps are the same step bit for bit: equal collectives
+    /// and, group by group, equal device lists and input-fraction bits.
+    /// Compares in place, allocating nothing.
+    pub fn same_layout(&self, other: &LoweredStep) -> bool {
+        self.collective == other.collective
+            && self.groups.len() == other.groups.len()
+            && self.groups.iter().zip(&other.groups).all(|(a, b)| {
+                a.input_fraction.to_bits() == b.input_fraction.to_bits() && a.devices == b.devices
+            })
     }
 }
 

@@ -3,8 +3,10 @@
 //! The search engine is *streaming*: [`Synthesizer::for_each_program`] walks a
 //! memoized search DAG over interned synthesis states and emits each valid
 //! program exactly once, shortest first, without ever materializing the full
-//! program set. [`Synthesizer::synthesize`] is a thin collecting wrapper for
-//! callers that do want the whole set.
+//! program set. [`Synthesizer::for_each_lowered`] is the same walk with each
+//! program's steps lowered once per distinct DAG edge step.
+//! [`Synthesizer::synthesize`] is a thin collecting wrapper for callers that
+//! do want the whole set.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
@@ -21,6 +23,7 @@ use crate::error::SynthesisError;
 use crate::hierarchy::HierarchyKind;
 use crate::lowered::{LoweredProgram, LoweredStep};
 use crate::memo::{MemoBank, MemoSlab};
+use crate::steps::{Candidate, EmittedProgram, StepTable};
 
 /// A `HashSet` through the same hasher as [`FxHashMap`].
 type FxHashSet<T> = HashSet<T, std::hash::BuildHasherDefault<p2_collectives::FxHasher>>;
@@ -80,6 +83,13 @@ pub struct SynthesisStats {
     pub build_duration: Duration,
     /// Wall-clock time of the emission (or counting) phase.
     pub emit_duration: Duration,
+    /// Distinct lowered steps in the search's step table: one per distinct
+    /// `(candidate, participant device states)` edge key the lowered
+    /// emission or the best-cost DP reached. Zero when nothing is lowered.
+    pub lowered_steps: usize,
+    /// Wall-clock time spent lowering those steps (part of
+    /// `emit_duration`). Callers that report search time alone subtract it.
+    pub lower_duration: Duration,
     /// Wall-clock time of the search.
     pub duration: Duration,
 }
@@ -613,6 +623,23 @@ impl Synthesizer {
         out
     }
 
+    /// The candidates in display order plus fresh stats noting their
+    /// generation time, measured from `start`.
+    fn sorted_candidates(&self, start: Instant) -> (Vec<Candidate>, SynthesisStats) {
+        let mut candidates = self.candidate_instructions();
+        // Sorting candidates by their rendered form makes the depth-first
+        // emission produce programs in display order within each length
+        // (instruction strings are prefix-free, so per-position instruction
+        // order and whole-program string order coincide).
+        candidates.sort_by_cached_key(|(instr, _)| instr.to_string());
+        let stats = SynthesisStats {
+            candidate_instructions: candidates.len(),
+            candidate_duration: start.elapsed(),
+            ..SynthesisStats::default()
+        };
+        (candidates, stats)
+    }
+
     /// Streams every valid program of at most `max_size` instructions into
     /// `sink`, shortest first and ties in display order — exactly the order
     /// (and set) [`Synthesizer::synthesize`] returns — without materializing
@@ -626,91 +653,161 @@ impl Synthesizer {
     where
         S: ProgramSink + ?Sized,
     {
-        self.for_each_program_impl(max_size, sink, true)
+        self.emit(
+            max_size,
+            false,
+            &mut |program: &Program, _: &[usize], _: &[LoweredStep]| sink.accept(program),
+        )
+        .expect("emission without lowering cannot fail")
     }
 
-    /// The shared engine behind the interned production path and the
-    /// pre-interning reference path.
-    fn for_each_program_impl<S>(
+    /// [`Synthesizer::for_each_program`] with every program's steps lowered:
+    /// the sink receives each program together with the ids of its lowered
+    /// steps in the search's step table.
+    ///
+    /// The emission resolves each DAG edge it descends to a step, keyed by
+    /// the candidate and the pre-state's participating device states — the
+    /// key [`Synthesizer::best_cost_program`] costs edges by — and lowers
+    /// each distinct key once, so lowering scales with the search DAG rather
+    /// than with the program count. Programs, order and statistics equal
+    /// [`Synthesizer::for_each_program`]'s, and every program's steps equal
+    /// [`Synthesizer::lower`]'s bit for bit. The step table lives for this
+    /// call; `lowered_steps` and `lower_duration` report its size and cost.
+    ///
+    /// # Errors
+    ///
+    /// Propagates lowering errors (none occur for a context that built).
+    pub fn for_each_lowered<F>(
         &self,
         max_size: usize,
-        sink: &mut S,
-        interned: bool,
-    ) -> SynthesisStats
+        mut sink: F,
+    ) -> Result<SynthesisStats, SynthesisError>
+    where
+        F: FnMut(&EmittedProgram<'_>) -> SinkControl,
+    {
+        let num_devices = self.ctx.matrix().num_devices();
+        self.emit(
+            max_size,
+            true,
+            &mut |program: &Program, step_ids: &[usize], table: &[LoweredStep]| {
+                sink(&EmittedProgram {
+                    program,
+                    step_ids,
+                    table,
+                    num_devices,
+                })
+            },
+        )
+    }
+
+    /// The memoized emission behind [`Synthesizer::for_each_program`]
+    /// (`lower = false`) and [`Synthesizer::for_each_lowered`]: one
+    /// depth-first walk that, when lowering, resolves each edge's step as it
+    /// descends.
+    fn emit<F>(
+        &self,
+        max_size: usize,
+        lower: bool,
+        sink: &mut F,
+    ) -> Result<SynthesisStats, SynthesisError>
+    where
+        F: FnMut(&Program, &[usize], &[LoweredStep]) -> SinkControl,
+    {
+        let start = Instant::now();
+        let (candidates, mut stats) = self.sorted_candidates(start);
+        let build_start = Instant::now();
+        let built = self.build_graph(&candidates, max_size, &mut stats, lower);
+        stats.build_duration = build_start.elapsed();
+        let emit_start = Instant::now();
+        let table = match (&built.tuples, &built.fractions) {
+            (Some(tuples), Some(fractions)) => {
+                Some(StepTable::new(&self.ctx, &candidates, tuples, fractions))
+            }
+            _ => None,
+        };
+        // Iterative deepening over exact program lengths: paths of length
+        // `target` from the initial state to the (absorbing) goal state are
+        // exactly the valid programs of that length. The suffix memo makes
+        // the descent visit only suffixes that complete a program.
+        let mut emission = Emission {
+            graph: &built.graph,
+            candidates: &candidates,
+            memo: self.seeded_memo(built.graph.len(), max_size, &mut stats),
+            table,
+            stack: Vec::with_capacity(max_size),
+            step_ids: Vec::with_capacity(max_size),
+            scratch: Program::empty(),
+            emitted: 0,
+            sink,
+        };
+        let mut outcome = Ok(());
+        for target in 0..=max_size {
+            if emission
+                .memo
+                .completions(&built.graph, built.init_id, target)
+                == 0
+            {
+                continue;
+            }
+            match emission.emit_memoized(built.init_id, target) {
+                Ok(SinkControl::Continue) => {}
+                Ok(SinkControl::Stop) => break,
+                Err(e) => {
+                    outcome = Err(e);
+                    break;
+                }
+            }
+        }
+        let Emission {
+            memo,
+            table,
+            emitted,
+            ..
+        } = emission;
+        stats.programs_emitted = emitted;
+        stats.suffix_memo_hits = memo.hits;
+        stats.suffix_memo_misses = memo.misses;
+        self.publish_memo(memo, built.graph.len(), max_size);
+        if let Some(table) = table {
+            table.finish(&mut stats);
+        }
+        stats.emit_duration = emit_start.elapsed();
+        stats.duration = start.elapsed();
+        outcome.map(|()| stats)
+    }
+
+    /// The pre-interning reference search behind
+    /// [`Synthesizer::synthesize_reference`]: the `Vec<State>`-keyed graph
+    /// build and the `min_steps`-pruned emission.
+    fn for_each_program_reference<S>(&self, max_size: usize, sink: &mut S) -> SynthesisStats
     where
         S: ProgramSink + ?Sized,
     {
         let start = Instant::now();
-        let mut candidates = self.candidate_instructions();
-        // Sorting candidates by their rendered form makes the depth-first
-        // emission below produce programs in display order within each length
-        // (instruction strings are prefix-free, so per-position instruction
-        // order and whole-program string order coincide).
-        candidates.sort_by_cached_key(|(instr, _)| instr.to_string());
-        let mut stats = SynthesisStats {
-            candidate_instructions: candidates.len(),
-            candidate_duration: start.elapsed(),
-            ..SynthesisStats::default()
-        };
+        let (candidates, mut stats) = self.sorted_candidates(start);
         let build_start = Instant::now();
-        let (graph, init_id) = if interned {
-            let built = self.build_graph(&candidates, max_size, &mut stats, false);
-            (built.graph, built.init_id)
-        } else {
-            self.build_graph_reference(&candidates, max_size, &mut stats)
-        };
+        let (graph, init_id) = self.build_graph_reference(&candidates, max_size, &mut stats);
         stats.build_duration = build_start.elapsed();
         let emit_start = Instant::now();
         let mut stack: Vec<Instruction> = Vec::with_capacity(max_size);
         let mut scratch = Program::empty();
-        // Iterative deepening over exact program lengths: paths of length
-        // `target` from the initial state to the (absorbing) goal state are
-        // exactly the valid programs of that length.
-        if interned {
-            // Memoized emission: descend only into suffixes whose completion
-            // count for the exact remaining budget is nonzero.
-            let mut memo = self.seeded_memo(graph.len(), max_size, &mut stats);
-            for target in 0..=max_size {
-                if memo.completions(&graph, init_id, target) == 0 {
-                    continue;
-                }
-                let ctrl = emit_memoized(
-                    &graph,
-                    &mut memo,
-                    &candidates,
-                    init_id,
-                    target,
-                    &mut stack,
-                    &mut scratch,
-                    sink,
-                    &mut stats,
-                );
-                if ctrl == SinkControl::Stop {
-                    break;
-                }
+        for target in 0..=max_size {
+            if graph.min_steps[init_id] > target {
+                continue;
             }
-            stats.suffix_memo_hits = memo.hits;
-            stats.suffix_memo_misses = memo.misses;
-            self.publish_memo(memo, graph.len(), max_size);
-        } else {
-            for target in 0..=max_size {
-                if graph.min_steps[init_id] > target {
-                    continue;
-                }
-                let ctrl = emit_exact(
-                    &graph,
-                    &candidates,
-                    init_id,
-                    0,
-                    target,
-                    &mut stack,
-                    &mut scratch,
-                    sink,
-                    &mut stats,
-                );
-                if ctrl == SinkControl::Stop {
-                    break;
-                }
+            let ctrl = emit_exact(
+                &graph,
+                &candidates,
+                init_id,
+                0,
+                target,
+                &mut stack,
+                &mut scratch,
+                sink,
+                &mut stats,
+            );
+            if ctrl == SinkControl::Stop {
+                break;
             }
         }
         stats.emit_duration = emit_start.elapsed();
@@ -758,13 +855,7 @@ impl Synthesizer {
                 }
             }
         }
-        let mut candidates = self.candidate_instructions();
-        candidates.sort_by_cached_key(|(instr, _)| instr.to_string());
-        let mut stats = SynthesisStats {
-            candidate_instructions: candidates.len(),
-            candidate_duration: start.elapsed(),
-            ..SynthesisStats::default()
-        };
+        let (candidates, mut stats) = self.sorted_candidates(start);
         let build_start = Instant::now();
         let built = self.build_graph(&candidates, max_size, &mut stats, false);
         stats.build_duration = build_start.elapsed();
@@ -789,11 +880,13 @@ impl Synthesizer {
     }
 
     /// Finds a minimum-cost program of at most `max_size` instructions by
-    /// dynamic programming over the search DAG, costing each edge once via
-    /// `step_cost` — the best-cost fast path of the streaming engine. The
-    /// returned cost folds per-step costs from the last instruction to the
-    /// first; among minimum-cost programs the shortest is returned, ties
-    /// broken by emission order.
+    /// dynamic programming over the search DAG, costing each distinct edge
+    /// step once via `step_cost` — the best-cost fast path of the streaming
+    /// engine. Edges resolve to steps through the same per-search step table
+    /// as [`Synthesizer::for_each_lowered`]. The returned cost folds
+    /// per-step costs from the last instruction to the first; among
+    /// minimum-cost programs the shortest is returned, ties broken by
+    /// emission order.
     ///
     /// An edge's lowered step is fully determined by its pre-state and
     /// instruction (a group's input fraction is the maximum of its members'
@@ -812,13 +905,7 @@ impl Synthesizer {
         step_cost: &mut dyn FnMut(&LoweredStep) -> f64,
     ) -> Result<Option<BestCostProgram>, SynthesisError> {
         let start = Instant::now();
-        let mut candidates = self.candidate_instructions();
-        candidates.sort_by_cached_key(|(instr, _)| instr.to_string());
-        let mut stats = SynthesisStats {
-            candidate_instructions: candidates.len(),
-            candidate_duration: start.elapsed(),
-            ..SynthesisStats::default()
-        };
+        let (candidates, mut stats) = self.sorted_candidates(start);
         let build_start = Instant::now();
         let built = self.build_graph(&candidates, max_size, &mut stats, true);
         stats.build_duration = build_start.elapsed();
@@ -830,41 +917,27 @@ impl Synthesizer {
             .as_ref()
             .expect("fractions kept for best-cost");
 
-        // Edge costs, memoized by (candidate, participating member states):
-        // two states agreeing on a candidate's participants share its cost.
-        let members_of: Vec<Vec<usize>> = candidates
-            .iter()
-            .map(|(_, groups)| groups.iter().flatten().copied().collect())
-            .collect();
-        let mut cost_memo: FxHashMap<Box<[u32]>, f64> = FxHashMap::default();
-        let mut key: Vec<u32> = Vec::new();
+        // Edge costs, one `step_cost` call per distinct step: two states
+        // agreeing on a candidate's participants share its step and cost.
+        let mut table = StepTable::new(&self.ctx, &candidates, tuples, fractions);
+        let mut step_costs: Vec<f64> = Vec::new();
         let mut edge_costs: Vec<Vec<f64>> = Vec::with_capacity(graph.len());
         for (id, edges) in graph.edges.iter().enumerate() {
             let Some(edges) = edges else {
                 edge_costs.push(Vec::new());
                 continue;
             };
-            let tuple = &tuples[id];
             let mut costs = Vec::with_capacity(edges.len());
             for &(ci, _) in edges {
-                key.clear();
-                key.push(u32::try_from(ci).expect("candidate index fits u32"));
-                key.extend(members_of[ci].iter().map(|&d| tuple[d]));
-                let cost = match cost_memo.get(key.as_slice()) {
-                    Some(&cost) => cost,
-                    None => {
-                        let step = self
-                            .ctx
-                            .lower_step(&candidates[ci].0, &mut |idx| fractions[&tuple[idx]])?;
-                        let cost = step_cost(&step);
-                        cost_memo.insert(key.as_slice().into(), cost);
-                        cost
-                    }
-                };
-                costs.push(cost);
+                let step = table.resolve(id, ci)?;
+                if step == step_costs.len() {
+                    step_costs.push(step_cost(&table.steps()[step]));
+                }
+                costs.push(step_costs[step]);
             }
             edge_costs.push(costs);
         }
+        table.finish(&mut stats);
 
         // best[id][b]: minimum cost of a goal-reaching path of exactly `b`
         // steps from `id` (∞ when none exists). Budgets strictly decrease
@@ -946,7 +1019,7 @@ impl Synthesizer {
     /// graphs (state numbering, edges, counts) and deterministic stats.
     fn build_graph(
         &self,
-        candidates: &[(Instruction, Vec<Vec<usize>>)],
+        candidates: &[Candidate],
         max_size: usize,
         stats: &mut SynthesisStats,
         keep_tuples: bool,
@@ -989,7 +1062,7 @@ impl Synthesizer {
     /// candidates: a cache-hit application allocates nothing.
     fn build_graph_serial(
         &self,
-        candidates: &[(Instruction, Vec<Vec<usize>>)],
+        candidates: &[Candidate],
         max_size: usize,
         stats: &mut SynthesisStats,
         keep_tuples: bool,
@@ -1147,7 +1220,7 @@ impl Synthesizer {
     /// sum stays deterministic, as do all other stats.
     fn build_graph_parallel(
         &self,
-        candidates: &[(Instruction, Vec<Vec<usize>>)],
+        candidates: &[Candidate],
         max_size: usize,
         stats: &mut SynthesisStats,
         keep_tuples: bool,
@@ -1388,7 +1461,7 @@ impl Synthesizer {
     /// and the `state_intern` bench compare the interned engine against.
     fn build_graph_reference(
         &self,
-        candidates: &[(Instruction, Vec<Vec<usize>>)],
+        candidates: &[Candidate],
         max_size: usize,
         stats: &mut SynthesisStats,
     ) -> (SearchGraph, usize) {
@@ -1497,14 +1570,10 @@ impl Synthesizer {
     /// and as the "old" side of the `state_intern` bench.
     pub fn synthesize_reference(&self, max_size: usize) -> SynthesisResult {
         let mut programs: Vec<Program> = Vec::new();
-        let stats = self.for_each_program_impl(
-            max_size,
-            &mut |p: &Program| {
-                programs.push(p.clone());
-                SinkControl::Continue
-            },
-            false,
-        );
+        let stats = self.for_each_program_reference(max_size, &mut |p: &Program| {
+            programs.push(p.clone());
+            SinkControl::Continue
+        });
         programs.sort_by_cached_key(|p| (p.len(), p.to_string()));
         SynthesisResult { programs, stats }
     }
@@ -1528,61 +1597,72 @@ impl Synthesizer {
     }
 }
 
-/// Depth-first emission of every goal-reaching path of exactly `remaining`
-/// further instructions, pruned by the suffix memo: an edge is descended only
-/// when its successor completes a nonzero number of programs in the exact
-/// remaining budget, so (unlike the `min_steps` bound of the reference
-/// emission) every recursive call ends in at least one emission. Callers
-/// guarantee `memo.completions(graph, id, remaining) > 0`.
-#[allow(clippy::too_many_arguments)]
-fn emit_memoized<S>(
-    graph: &SearchGraph,
-    memo: &mut SuffixMemo,
-    candidates: &[(Instruction, Vec<Vec<usize>>)],
-    id: usize,
-    remaining: usize,
-    stack: &mut Vec<Instruction>,
-    scratch: &mut Program,
-    sink: &mut S,
-    stats: &mut SynthesisStats,
-) -> SinkControl
+/// The state of one memoized emission: the depth-first walk over the search
+/// DAG, optionally resolving each descended edge to its lowered step.
+struct Emission<'a, F: ?Sized> {
+    graph: &'a SearchGraph,
+    candidates: &'a [Candidate],
+    memo: SuffixMemo,
+    /// The step table, when the emission lowers.
+    table: Option<StepTable<'a>>,
+    /// The instructions of the current prefix.
+    stack: Vec<Instruction>,
+    /// The step ids of the current prefix (empty unless lowering).
+    step_ids: Vec<usize>,
+    scratch: Program,
+    emitted: usize,
+    sink: &'a mut F,
+}
+
+impl<F> Emission<'_, F>
 where
-    S: ProgramSink + ?Sized,
+    F: FnMut(&Program, &[usize], &[LoweredStep]) -> SinkControl + ?Sized,
 {
-    if remaining == 0 {
-        // Positive completions with no budget left means this is the goal.
-        debug_assert!(graph.is_goal[id]);
-        scratch.instructions.clear();
-        scratch.instructions.extend_from_slice(stack);
-        stats.programs_emitted += 1;
-        return sink.accept(scratch);
-    }
-    let Some(edges) = &graph.edges[id] else {
-        debug_assert!(false, "a state with completions left was never expanded");
-        return SinkControl::Continue;
-    };
-    for &(ci, next) in edges {
-        if memo.completions(graph, next, remaining - 1) == 0 {
-            continue;
+    /// Emits every goal-reaching path of exactly `remaining` further
+    /// instructions from `id`, pruned by the suffix memo: an edge is descended
+    /// only when its successor completes a nonzero number of programs in the
+    /// exact remaining budget, so (unlike the `min_steps` bound of the
+    /// reference emission) every recursive call ends in at least one
+    /// emission. Callers guarantee `memo.completions(graph, id, remaining) >
+    /// 0`.
+    fn emit_memoized(
+        &mut self,
+        id: usize,
+        remaining: usize,
+    ) -> Result<SinkControl, SynthesisError> {
+        if remaining == 0 {
+            // Positive completions with no budget left means this is the goal.
+            debug_assert!(self.graph.is_goal[id]);
+            self.scratch.instructions.clear();
+            self.scratch.instructions.extend_from_slice(&self.stack);
+            self.emitted += 1;
+            let table = self.table.as_ref().map_or(&[][..], StepTable::steps);
+            return Ok((self.sink)(&self.scratch, &self.step_ids, table));
         }
-        stack.push(candidates[ci].0);
-        let ctrl = emit_memoized(
-            graph,
-            memo,
-            candidates,
-            next,
-            remaining - 1,
-            stack,
-            scratch,
-            sink,
-            stats,
-        );
-        stack.pop();
-        if ctrl == SinkControl::Stop {
-            return SinkControl::Stop;
+        let graph = self.graph;
+        let Some(edges) = &graph.edges[id] else {
+            debug_assert!(false, "a state with completions left was never expanded");
+            return Ok(SinkControl::Continue);
+        };
+        for &(ci, next) in edges {
+            if self.memo.completions(graph, next, remaining - 1) == 0 {
+                continue;
+            }
+            if let Some(table) = &mut self.table {
+                self.step_ids.push(table.resolve(id, ci)?);
+            }
+            self.stack.push(self.candidates[ci].0);
+            let ctrl = self.emit_memoized(next, remaining - 1);
+            self.stack.pop();
+            if self.table.is_some() {
+                self.step_ids.pop();
+            }
+            if ctrl? == SinkControl::Stop {
+                return Ok(SinkControl::Stop);
+            }
         }
+        Ok(SinkControl::Continue)
     }
-    SinkControl::Continue
 }
 
 /// Depth-first emission of every goal-reaching path of exactly `target`
@@ -1592,7 +1672,7 @@ where
 #[allow(clippy::too_many_arguments)]
 fn emit_exact<S>(
     graph: &SearchGraph,
-    candidates: &[(Instruction, Vec<Vec<usize>>)],
+    candidates: &[Candidate],
     id: usize,
     depth: usize,
     target: usize,
@@ -1892,6 +1972,71 @@ mod tests {
             );
             s.validate(&best.program).unwrap();
         }
+    }
+
+    #[test]
+    fn lowered_stream_matches_per_program_lowering() {
+        let kinds = [
+            (HierarchyKind::ReductionAxes, 5),
+            (HierarchyKind::System, 3),
+            (HierarchyKind::RowMajor, 3),
+            (HierarchyKind::ColumnMajor, 3),
+        ];
+        for (kind, max_size) in kinds {
+            let s = Synthesizer::new(figure2d(), vec![1], kind).unwrap();
+            let plain = s.synthesize(max_size);
+            let mut programs: Vec<Program> = Vec::new();
+            let mut table_len = 0;
+            let stats = s
+                .for_each_lowered(max_size, |emitted: &EmittedProgram<'_>| {
+                    let expected = s.lower(emitted.program).unwrap();
+                    let lowered = emitted.to_lowered();
+                    assert_eq!(lowered.num_devices, expected.num_devices);
+                    assert_eq!(lowered.steps.len(), expected.steps.len());
+                    for (got, want) in lowered.steps.iter().zip(&expected.steps) {
+                        assert!(got.same_layout(want), "{kind:?}: {}", emitted.program);
+                    }
+                    table_len = emitted.table.len();
+                    programs.push(emitted.program.clone());
+                    SinkControl::Continue
+                })
+                .unwrap();
+            assert_eq!(programs, plain.programs, "{kind:?}");
+            assert_eq!(stats.programs_emitted, plain.stats.programs_emitted);
+            assert_eq!(stats.states_explored, plain.stats.states_explored);
+            assert_eq!(stats.lowered_steps, table_len);
+            assert!(stats.lower_duration <= stats.emit_duration);
+            // One lowering per distinct edge step, not per program step.
+            let program_steps: usize = programs.iter().map(Program::len).sum();
+            assert!(stats.lowered_steps <= program_steps, "{kind:?}");
+            if kind == HierarchyKind::ReductionAxes {
+                assert!(
+                    stats.lowered_steps * 4 < program_steps,
+                    "{} steps lowered for {program_steps} program steps",
+                    stats.lowered_steps
+                );
+            }
+        }
+        // Without lowering, the same walk lowers nothing.
+        assert_eq!(synth_d().synthesize(5).stats.lowered_steps, 0);
+    }
+
+    #[test]
+    fn lowered_stream_stops_when_the_sink_stops() {
+        let s = synth_d();
+        let mut taken: Vec<Program> = Vec::new();
+        let stats = s
+            .for_each_lowered(5, |emitted: &EmittedProgram<'_>| {
+                taken.push(emitted.program.clone());
+                if taken.len() == 3 {
+                    SinkControl::Stop
+                } else {
+                    SinkControl::Continue
+                }
+            })
+            .unwrap();
+        assert_eq!(stats.programs_emitted, 3);
+        assert_eq!(taken, s.synthesize(5).programs[..3].to_vec());
     }
 
     #[test]

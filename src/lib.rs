@@ -59,7 +59,7 @@ pub use p2_core::{
 pub use p2_cost::{
     cost_model_from_args, AlphaBetaModel, CacheStats, CachedCostModel, CalibratedModel,
     CostAccumulator, CostBreakdown, CostModel, CostModelKind, LogGpModel, NcclAlgo, StepClass,
-    StepCost,
+    StepCost, StepTimes,
 };
 pub use p2_exec::{ExecConfig, Executor};
 pub use p2_hash::{stable_digest128, stable_hash64, Fingerprint, FxHashMap, FxHasher};
@@ -71,8 +71,8 @@ pub use p2_service::{
     PlannerConfig, PlannerStats, ServiceError,
 };
 pub use p2_synthesis::{
-    baseline_allreduce, Form, HierarchyKind, Instruction, LoweredProgram, MemoBank, MemoSlab,
-    Program, ProgramSink, SinkControl, SynthesisStats, Synthesizer,
+    baseline_allreduce, EmittedProgram, Form, HierarchyKind, Instruction, LoweredProgram, MemoBank,
+    MemoSlab, Program, ProgramSink, SinkControl, SynthesisStats, Synthesizer,
 };
 pub use p2_topology::presets;
 pub use p2_topology::{Hierarchy, Interconnect, Level, SystemTopology};

@@ -286,11 +286,27 @@ impl CostModel for ExplodingModel {
 
 #[test]
 fn panicking_worker_fails_the_shared_bound_run_instead_of_hanging() {
+    // Count the predictions a clean run of the same session makes, and blow
+    // up halfway through them: enough predictions to complete some
+    // placements, then a panic while later placements wait on the reduction
+    // tree.
+    let counting = CountingModel::new();
+    let clean = builder(4)
+        .cost_model(Arc::clone(&counting) as Arc<dyn CostModel>)
+        .cost_cache(false)
+        .build()
+        .unwrap();
+    SharedBoundObserver::new().run(&clean).unwrap();
+    let clean_count = counting.count();
+    let inject_at = clean_count / 2;
+    assert!(
+        inject_at >= 1 && clean_count > inject_at,
+        "a clean run makes {clean_count} predictions, so a panic injected at \
+         prediction {inject_at} would never fire"
+    );
     let model = Arc::new(ExplodingModel {
         inner: AlphaBetaModel::new(presets::a100_system(2), NcclAlgo::Ring, 1.0e9).unwrap(),
-        // Enough predictions to complete some placements, then blow up while
-        // later placements wait on the reduction tree.
-        calls_left: AtomicUsize::new(50),
+        calls_left: AtomicUsize::new(inject_at),
     });
     let session = builder(4)
         .cost_model(model as Arc<dyn CostModel>)
