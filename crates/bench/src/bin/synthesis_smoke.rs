@@ -9,17 +9,17 @@
 //! stops at 5), the suffix-memoized counting fast path makes size 7
 //! tractable: `--size 7 --count-only` aggregates program counts straight
 //! from the memo without materializing a single path, and CI pins that
-//! count too. With the parallel level-synchronous DAG build (`--threads 0`
-//! for all cores) size 8 joins the pinned set: the rack case's size-8 graph
+//! count too. With the level-synchronous DAG build spread over every core
+//! (`--threads 0`) size 8 joins the pinned set: the rack case's size-8 graph
 //! is built across cores and counted from the memo.
 //!
 //! Usage: `cargo run --release -p p2_bench --bin synthesis_smoke --`
 //! `[--size N] [--count-only] [--threads N] [--profile] [--case LABEL]`
 //! `[--json PATH]`
 //!
-//! `--threads N` runs the DAG build on an `N`-thread pool (`0` = all cores,
-//! default `1` = serial); every printed statistic and pinned count is
-//! bit-identical for any value. `--profile` prints a per-phase wall-time
+//! `--threads N` runs the DAG build on an `N`-thread pool (`0` = all cores;
+//! the default `1` expands each level on the calling thread); every printed
+//! statistic and pinned count is bit-identical for any value. `--profile` prints a per-phase wall-time
 //! breakdown (candidate generation / DAG build / emission or counting).
 //! `--json PATH` writes one machine-readable record per case (timings, hit
 //! rates, peak interner size) for archiving as a CI artifact.
@@ -193,7 +193,7 @@ fn main() {
         "full enumeration"
     };
     let build = if threads == 1 {
-        "serial build".to_string()
+        "1 thread".to_string()
     } else if threads == 0 {
         "parallel build, all cores".to_string()
     } else {

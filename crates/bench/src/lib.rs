@@ -150,46 +150,22 @@ impl ExperimentSpec {
 }
 
 /// Runs a batch of experiment specifications on **one** work-stealing pool:
-/// every spec's placement-evaluation jobs are queued spec-major onto the same
-/// scheduler and workers steal across spec boundaries, so the whole batch
-/// respects a single global thread budget instead of oversubscribing with
-/// nested per-spec pools. Results come back in spec order and are
-/// bit-identical to serial per-spec runs, for any thread count.
+/// builds one session per spec ([`spec_sessions`]) and schedules them with
+/// [`p2_core::run_batch`]. Every spec's placement-evaluation jobs are queued
+/// spec-major onto the same scheduler and workers steal across spec
+/// boundaries, so the whole batch respects a single global thread budget
+/// instead of oversubscribing with nested per-spec pools. Results come back
+/// in spec order and are bit-identical to serial per-spec runs, for any
+/// thread count.
 ///
 /// `keep_top` bounds the per-placement retention of every spec (`None` runs
-/// the exhaustive, keep-everything pipeline). Predictions use the default
-/// α–β cost model; use [`run_specs_observed`] to select another model or to
-/// watch progress, and [`run_specs_batch`] for the full scheduling knobs
-/// (thread budget, steal seed, cross-spec bound/table sharing).
-pub fn run_specs(specs: &[ExperimentSpec], keep_top: Option<usize>) -> Vec<ExperimentResult> {
-    run_specs_observed(specs, keep_top, CostModelKind::AlphaBeta, &())
-}
-
-/// [`run_specs`] with an explicit [`CostModelKind`] (each spec builds the
-/// model for its own system) and a [`RunObserver`] shared across every spec's
-/// sweep — pair it with a [`p2_core::ProgressObserver`] totalled via
-/// [`total_placements`] for aggregate progress/ETA reporting.
-pub fn run_specs_observed(
-    specs: &[ExperimentSpec],
-    keep_top: Option<usize>,
-    cost_model: CostModelKind,
-    observer: &dyn RunObserver,
-) -> Vec<ExperimentResult> {
-    run_specs_batch(
-        specs,
-        keep_top,
-        cost_model,
-        &BatchOptions::default(),
-        observer,
-    )
-    .expect("specs build and run")
-    .results
-}
-
-/// The full batch entry point behind [`run_specs`]: builds one session per
-/// spec ([`spec_sessions`]) and schedules them with [`p2_core::run_batch`],
-/// exposing every [`BatchOptions`] knob and the scheduler telemetry in the
-/// returned [`BatchOutcome`].
+/// the exhaustive, keep-everything pipeline) and `cost_model` picks the
+/// model each spec builds for its own system. `options` carries the
+/// scheduling knobs (thread budget, steal seed, cross-spec bound/table
+/// sharing) and the returned [`BatchOutcome`] the scheduler telemetry.
+/// `observer` receives every spec's sweep events — pair it with a
+/// [`p2_core::ProgressObserver`] totalled via [`total_placements`] for
+/// aggregate progress/ETA reporting.
 ///
 /// # Errors
 ///
@@ -265,10 +241,10 @@ pub fn total_placements(specs: &[ExperimentSpec]) -> usize {
 
 pub use p2_cost::cost_model_from_args;
 
-/// Synthesizes reduction programs for every matrix on `threads` workers
-/// (`0` = all cores, `1` = serial) and returns the total program count — the
-/// placement × synthesis sweep the criterion `synthesis` bench times serially
-/// and in parallel.
+/// Synthesizes reduction programs for every matrix as one job per matrix on
+/// a `threads`-worker pool (`0` = all cores) and returns the total program
+/// count — the placement × synthesis sweep the criterion `synthesis` bench
+/// times on one worker and on every core.
 ///
 /// With `keep_top = None` every program set is materialized through
 /// [`Synthesizer::synthesize`]; with `Some(k)` the sweep streams through
@@ -288,7 +264,7 @@ pub fn sweep_synthesis(
     keep_top: Option<usize>,
     cost: Option<&Arc<dyn CostModel>>,
 ) -> usize {
-    p2_par::par_map_threads(threads, matrices, |_, m| {
+    let count = |_: usize, m: &ParallelismMatrix| {
         let synth = Synthesizer::new(m.clone(), reduction.to_vec(), HierarchyKind::ReductionAxes)
             .expect("valid synthesizer");
         // The stream arrives shortest-first, so bounded retention of the k
@@ -325,9 +301,9 @@ pub fn sweep_synthesis(
                     .programs_emitted
             }
         }
-    })
-    .into_iter()
-    .sum()
+    };
+    let counts = p2_par::scope(threads, |s| s.map(matrices, count));
+    counts.into_iter().sum()
 }
 
 /// The Table 4 experiment specifications (rows F–L of the paper).
@@ -556,7 +532,15 @@ mod tests {
             .unwrap()
             .run()
             .unwrap();
-        let parallel = &run_specs(std::slice::from_ref(&spec), None)[0];
+        let parallel = &run_specs_batch(
+            std::slice::from_ref(&spec),
+            None,
+            CostModelKind::AlphaBeta,
+            &BatchOptions::default(),
+            &(),
+        )
+        .unwrap()
+        .results[0];
         assert_eq!(serial.placements.len(), parallel.placements.len());
         for (a, b) in serial.placements.iter().zip(&parallel.placements) {
             assert_eq!(a.matrix.to_string(), b.matrix.to_string());
@@ -621,8 +605,20 @@ mod tests {
             vec![0],
             NcclAlgo::Ring,
         );
-        let exhaustive = &run_specs(std::slice::from_ref(&spec), None)[0];
-        let bounded = &run_specs(std::slice::from_ref(&spec), Some(3))[0];
+        let run = |keep_top| {
+            run_specs_batch(
+                std::slice::from_ref(&spec),
+                keep_top,
+                CostModelKind::AlphaBeta,
+                &BatchOptions::default(),
+                &(),
+            )
+            .unwrap()
+            .results
+            .remove(0)
+        };
+        let exhaustive = &run(None);
+        let bounded = &run(Some(3));
         assert_eq!(exhaustive.total_programs(), bounded.total_programs());
         assert!(bounded.total_programs_retained() < exhaustive.total_programs_retained());
         assert!(bounded.total_programs_pruned() > 0);

@@ -5,12 +5,11 @@
 //! identical states, so hash-consing each device state to a dense `u32` id
 //! turns a synthesis-space state into a flat `[u32]` slice: interning hashes
 //! a few words instead of k×k bit matrices, equality is a word compare, and
-//! devices sharing a state share its storage. The [`ApplyCache`] layers a
-//! transposition table on top: the semantics of a collective depend only on
-//! the ordered participant states, so one `(collective, participant ids)`
-//! key memoizes [`apply_collective_refs`] across every grouping and every
-//! synthesis state that reproduces the same participants — the cache-hit
-//! path allocates nothing.
+//! devices sharing a state share its storage. [`SharedTables`] pairs that
+//! interner with a transposition table: the semantics of a collective depend
+//! only on the ordered participant states, so one `(collective, participant
+//! ids)` key memoizes [`apply_collective_refs`] across every grouping and
+//! every synthesis state that reproduces the same participants.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock};
@@ -28,189 +27,6 @@ pub use p2_hash::{FxHashMap, FxHasher};
 /// The [`SharedTables`] transposition map: `[collective tag, participant
 /// ids...]` → interned post-state ids or the memoized semantic error.
 type SharedApplyMap = FxHashMap<Box<[u32]>, Result<Arc<[u32]>, SemanticsError>>;
-
-/// An arena hash-consing device [`State`]s to dense `u32` ids.
-///
-/// # Examples
-///
-/// ```
-/// use p2_collectives::{State, StateInterner};
-/// let mut interner = StateInterner::new();
-/// let a = interner.intern(State::initial(4, 0));
-/// let b = interner.intern(State::initial(4, 1));
-/// assert_ne!(a, b);
-/// assert_eq!(interner.intern(State::initial(4, 0)), a);
-/// assert_eq!(interner.len(), 2);
-/// assert_eq!(*interner.get(a), State::initial(4, 0));
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct StateInterner {
-    /// Id-indexed view; each `Arc` is shared with the map key below, so every
-    /// distinct state owns exactly one word buffer.
-    states: Vec<Arc<State>>,
-    ids: FxHashMap<Arc<State>, u32>,
-}
-
-impl StateInterner {
-    /// Creates an empty interner.
-    pub fn new() -> Self {
-        StateInterner::default()
-    }
-
-    /// Interns a state, returning its dense id (allocating a new id only for
-    /// states never seen before).
-    ///
-    /// # Panics
-    ///
-    /// Panics if more than `u32::MAX` distinct states are interned.
-    pub fn intern(&mut self, state: State) -> u32 {
-        // `Arc<State>: Borrow<State>`, so the lookup needs no allocation.
-        if let Some(&id) = self.ids.get(&state) {
-            return id;
-        }
-        let id = u32::try_from(self.states.len()).expect("more than u32::MAX distinct states");
-        let state = Arc::new(state);
-        self.states.push(Arc::clone(&state));
-        self.ids.insert(state, id);
-        id
-    }
-
-    /// The state an id was assigned to.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` was not returned by this interner.
-    pub fn get(&self, id: u32) -> &State {
-        self.states[id as usize].as_ref()
-    }
-
-    /// A shared handle to the state an id was assigned to, for callers that
-    /// must outlive a lock on the interner.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` was not returned by this interner.
-    pub fn get_arc(&self, id: u32) -> Arc<State> {
-        Arc::clone(&self.states[id as usize])
-    }
-
-    /// The id of an already-interned state, without interning it.
-    pub fn lookup(&self, state: &State) -> Option<u32> {
-        self.ids.get(state).copied()
-    }
-
-    /// Number of distinct states interned.
-    pub fn len(&self) -> usize {
-        self.states.len()
-    }
-
-    /// Whether nothing has been interned yet.
-    pub fn is_empty(&self) -> bool {
-        self.states.is_empty()
-    }
-
-    /// The interned states in id order (state `i` has id `i`): ids *are*
-    /// positions in the arena, so this is the dense serialization order and
-    /// re-interning the list into an empty interner reassigns identical ids.
-    pub fn states_in_id_order(&self) -> &[Arc<State>] {
-        &self.states
-    }
-}
-
-/// A memoized application result: the members' interned post-state ids, or
-/// the semantic error the collective raised.
-type CachedApply = Result<Box<[u32]>, SemanticsError>;
-
-/// A transposition cache for [`apply_collective_refs`] over interned states.
-///
-/// Keyed by the collective and the ordered participant ids (the only inputs
-/// the semantics sees), so symmetric groupings and convergent search paths
-/// re-deriving the same participants hit the cache instead of re-running the
-/// pre-condition checks. Both successful post-states and semantic errors are
-/// memoized. Lookups reuse an internal key buffer: a hit performs no
-/// allocation.
-#[derive(Debug, Clone, Default)]
-pub struct ApplyCache {
-    /// `[collective tag, participant ids...]` → interned post-state ids.
-    map: FxHashMap<Box<[u32]>, CachedApply>,
-    key: Vec<u32>,
-    hits: usize,
-    misses: usize,
-}
-
-impl ApplyCache {
-    /// Creates an empty cache.
-    pub fn new() -> Self {
-        ApplyCache::default()
-    }
-
-    /// Applies `collective` to the devices holding the interned states
-    /// `members` (in group order), memoized. Returns the members'
-    /// post-condition state ids, in the same order.
-    ///
-    /// # Errors
-    ///
-    /// The [`SemanticsError`] of the violated pre-condition, exactly as
-    /// [`apply_collective_refs`] reports it (and memoized just the same).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any id in `members` was not produced by `interner`.
-    pub fn apply(
-        &mut self,
-        interner: &mut StateInterner,
-        collective: Collective,
-        members: &[u32],
-    ) -> Result<&[u32], SemanticsError> {
-        self.key.clear();
-        self.key.push(collective as u32);
-        self.key.extend_from_slice(members);
-        // `contains_key` first sidesteps the borrow checker's refusal to let
-        // a conditionally-returned `get` borrow coexist with the insert below.
-        if self.map.contains_key(self.key.as_slice()) {
-            self.hits += 1;
-            return self.map[self.key.as_slice()]
-                .as_deref()
-                .map_err(|e| e.clone());
-        }
-        self.misses += 1;
-        let result = {
-            let states: Vec<&State> = members.iter().map(|&id| interner.get(id)).collect();
-            apply_collective_refs(collective, &states)
-        };
-        let entry = result.map(|after| {
-            after
-                .into_iter()
-                .map(|s| interner.intern(s))
-                .collect::<Box<[u32]>>()
-        });
-        self.map
-            .entry(self.key.as_slice().into())
-            .or_insert(entry)
-            .as_deref()
-            .map_err(|e| e.clone())
-    }
-
-    /// Number of memoized lookups served.
-    pub fn hits(&self) -> usize {
-        self.hits
-    }
-
-    /// Number of lookups that ran the semantics.
-    pub fn misses(&self) -> usize {
-        self.misses
-    }
-
-    /// Number of distinct `(collective, participants)` keys cached.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-}
 
 /// Number of shards in each [`SharedTables`] map (state → id and apply). A
 /// power of two so the shard index is the hash's top bits; 64 is comfortably
@@ -315,7 +131,8 @@ impl StateArena {
 /// Sweep-wide hash-consing tables: one device-state interner and one
 /// collective transposition table shared by every concurrent worker — across
 /// placements of a sweep *and* across the intra-placement expanders of a
-/// parallel DAG build.
+/// parallel DAG build. They are the synthesizer's only tables: a search
+/// with nothing to share builds over a fresh private instance.
 ///
 /// Every placement of one sweep reduces over the same k×k device-state
 /// universe, so sharing the tables means the second placement onward mostly
@@ -597,106 +414,46 @@ mod tests {
     use crate::semantics::apply_collective;
 
     #[test]
-    fn interner_dedups_and_roundtrips() {
-        let mut interner = StateInterner::new();
-        assert!(interner.is_empty());
-        let ids: Vec<u32> = (0..3)
-            .map(|d| interner.intern(State::initial(3, d)))
-            .collect();
-        assert_eq!(interner.len(), 3);
-        for (d, &id) in ids.iter().enumerate() {
-            assert_eq!(*interner.get(id), State::initial(3, d));
-            assert_eq!(interner.intern(State::initial(3, d)), id);
-        }
-        assert_eq!(interner.len(), 3);
-    }
-
-    #[test]
-    fn apply_cache_matches_direct_semantics() {
-        let mut interner = StateInterner::new();
-        let mut cache = ApplyCache::new();
+    fn shared_apply_matches_direct_semantics() {
+        let shared = SharedTables::new();
         let states: Vec<State> = (0..4).map(|d| State::initial(4, d)).collect();
-        let ids: Vec<u32> = states.iter().map(|s| interner.intern(s.clone())).collect();
+        let ids: Vec<u32> = states.iter().map(|s| shared.intern(s.clone()).0).collect();
         for collective in Collective::ALL {
             let direct = apply_collective(collective, &states);
-            let cached = cache
-                .apply(&mut interner, collective, &ids)
-                .map(|out| out.to_vec());
-            match (direct, cached) {
-                (Ok(direct), Ok(out_ids)) => {
-                    let via_cache: Vec<State> =
-                        out_ids.iter().map(|&id| interner.get(id).clone()).collect();
-                    assert_eq!(direct, via_cache, "{collective} diverged through the cache");
-                }
-                (Err(a), Err(b)) => assert_eq!(a, b),
-                (a, b) => panic!("{collective}: direct {a:?} vs cached {b:?}"),
-            }
-        }
-        assert_eq!(cache.misses(), Collective::ALL.len());
-        assert_eq!(cache.hits(), 0);
-    }
-
-    #[test]
-    fn apply_cache_hits_on_repeats_and_memoizes_errors() {
-        let mut interner = StateInterner::new();
-        let mut cache = ApplyCache::new();
-        let ids: Vec<u32> = (0..2)
-            .map(|d| interner.intern(State::initial(2, d)))
-            .collect();
-        let first = cache
-            .apply(&mut interner, Collective::AllReduce, &ids)
-            .unwrap()
-            .to_vec();
-        let again = cache
-            .apply(&mut interner, Collective::AllReduce, &ids)
-            .unwrap()
-            .to_vec();
-        assert_eq!(first, again);
-        assert_eq!((cache.hits(), cache.misses()), (1, 1));
-        // Reducing the already-reduced pair double-counts; the error is
-        // memoized like any other result.
-        let err = cache
-            .apply(&mut interner, Collective::AllReduce, &first)
-            .unwrap_err();
-        assert_eq!(err, SemanticsError::OverlappingContributions);
-        let err2 = cache
-            .apply(&mut interner, Collective::AllReduce, &first)
-            .unwrap_err();
-        assert_eq!(err, err2);
-        assert_eq!((cache.hits(), cache.misses()), (2, 2));
-    }
-
-    #[test]
-    fn shared_tables_match_local_apply_cache() {
-        let shared = SharedTables::new();
-        let mut interner = StateInterner::new();
-        let mut cache = ApplyCache::new();
-        let states: Vec<State> = (0..4).map(|d| State::initial(4, d)).collect();
-        let local_ids: Vec<u32> = states.iter().map(|s| interner.intern(s.clone())).collect();
-        let shared_ids: Vec<u32> = states.iter().map(|s| shared.intern(s.clone()).0).collect();
-        for collective in Collective::ALL {
-            let local = cache
-                .apply(&mut interner, collective, &local_ids)
-                .map(|out| {
-                    out.iter()
-                        .map(|&id| interner.get(id).clone())
-                        .collect::<Vec<_>>()
-                });
-            let (result, hit) = shared.apply(collective, &shared_ids);
+            let (result, hit) = shared.apply(collective, &ids);
             assert!(!hit);
             let via_shared =
                 result.map(|out| out.iter().map(|&id| (*shared.get(id)).clone()).collect());
             assert_eq!(
-                local, via_shared,
+                direct, via_shared,
                 "{collective} diverged through SharedTables"
             );
             // Repeats hit.
-            let (_, hit) = shared.apply(collective, &shared_ids);
+            let (_, hit) = shared.apply(collective, &ids);
             assert!(hit);
         }
         assert_eq!(shared.apply_misses(), Collective::ALL.len());
         assert_eq!(shared.apply_hits(), Collective::ALL.len());
         assert!(shared.num_apply_entries() > 0);
+    }
+
+    #[test]
+    fn shared_apply_hits_on_repeats_and_memoizes_errors() {
+        let shared = SharedTables::new();
+        let ids: Vec<u32> = (0..2)
+            .map(|d| shared.intern(State::initial(2, d)).0)
+            .collect();
+        let first = shared.apply(Collective::AllReduce, &ids).0.unwrap();
+        let again = shared.apply(Collective::AllReduce, &ids).0.unwrap();
+        assert_eq!(first, again);
+        assert_eq!((shared.apply_hits(), shared.apply_misses()), (1, 1));
+        // Reducing the already-reduced pair double-counts; the error is
+        // memoized like any other result.
+        let err = shared.apply(Collective::AllReduce, &first).0.unwrap_err();
+        assert_eq!(err, SemanticsError::OverlappingContributions);
+        let err2 = shared.apply(Collective::AllReduce, &first).0.unwrap_err();
+        assert_eq!(err, err2);
+        assert_eq!((shared.apply_hits(), shared.apply_misses()), (2, 2));
     }
 
     #[test]
@@ -786,30 +543,14 @@ mod tests {
     }
 
     #[test]
-    fn interner_lookup_and_get_arc() {
-        let mut interner = StateInterner::new();
-        assert_eq!(interner.lookup(&State::initial(2, 0)), None);
-        let id = interner.intern(State::initial(2, 0));
-        assert_eq!(interner.lookup(&State::initial(2, 0)), Some(id));
-        assert_eq!(*interner.get_arc(id), State::initial(2, 0));
-    }
-
-    #[test]
     fn distinct_collectives_do_not_collide() {
-        let mut interner = StateInterner::new();
-        let mut cache = ApplyCache::new();
+        let shared = SharedTables::new();
         let ids: Vec<u32> = (0..2)
-            .map(|d| interner.intern(State::initial(2, d)))
+            .map(|d| shared.intern(State::initial(2, d)).0)
             .collect();
-        let reduced = cache
-            .apply(&mut interner, Collective::Reduce, &ids)
-            .unwrap()
-            .to_vec();
-        let all = cache
-            .apply(&mut interner, Collective::AllReduce, &ids)
-            .unwrap()
-            .to_vec();
+        let reduced = shared.apply(Collective::Reduce, &ids).0.unwrap();
+        let all = shared.apply(Collective::AllReduce, &ids).0.unwrap();
         assert_ne!(reduced, all);
-        assert_eq!(cache.misses(), 2);
+        assert_eq!(shared.apply_misses(), 2);
     }
 }

@@ -37,6 +37,6 @@ mod state;
 
 pub use bitset::Bitset;
 pub use collective::Collective;
-pub use intern::{ApplyCache, FxHashMap, FxHasher, SharedTables, StateInterner};
+pub use intern::{FxHashMap, FxHasher, SharedTables};
 pub use semantics::{apply_collective, apply_collective_refs, apply_to_groups, SemanticsError};
 pub use state::{Row, State};

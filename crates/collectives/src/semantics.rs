@@ -170,7 +170,7 @@ pub fn apply_collective(
 }
 
 /// [`apply_collective`] over borrowed device states, so callers assembling a
-/// group from a larger context (or from a [`crate::StateInterner`]) never
+/// group from a larger context (or from a [`crate::SharedTables`]) never
 /// clone the inputs.
 ///
 /// # Errors

@@ -2,7 +2,7 @@
 //! work-stealing thread pool, with opt-in cross-spec sharing of the dyadic
 //! pruning bound and the synthesis interning tables.
 //!
-//! [`run_batch`] is the engine behind `p2_bench::run_specs`: every session's
+//! [`run_batch`] is the engine behind `p2_bench::run_specs_batch`: every session's
 //! placement-evaluation jobs are spawned onto a single [`p2_par::Scheduler`]
 //! (spec-major, in placement production order) and workers steal across spec
 //! boundaries, so a batch of N sessions respects one global thread budget

@@ -57,7 +57,6 @@ pub struct P2Builder {
     cost_model_kind: Option<CostModelKind>,
     cost_cache: Option<bool>,
     shared_intern: Option<bool>,
-    parallel_build: Option<bool>,
     shared_tables: Option<Arc<SharedTables>>,
     table_store_dir: Option<std::path::PathBuf>,
     mode: RunMode,
@@ -84,7 +83,6 @@ impl P2Builder {
             cost_model_kind: None,
             cost_cache: None,
             shared_intern: None,
-            parallel_build: None,
             shared_tables: None,
             table_store_dir: None,
             mode: RunMode::Measure,
@@ -113,7 +111,6 @@ impl P2Builder {
             cost_model_kind: None,
             cost_cache: Some(config.cost_cache),
             shared_intern: Some(config.shared_intern),
-            parallel_build: Some(config.parallel_build),
             shared_tables: config.shared_tables,
             table_store_dir: config.table_store_dir,
             mode: RunMode::Measure,
@@ -232,13 +229,6 @@ impl P2Builder {
         self
     }
 
-    /// Enables or disables the parallel level-synchronous DAG build inside
-    /// each placement (see [`P2Config::parallel_build`]).
-    pub fn parallel_build(mut self, parallel_build: bool) -> Self {
-        self.parallel_build = Some(parallel_build);
-        self
-    }
-
     /// Supplies externally-owned interning tables, extending sharing across
     /// every session holding the same tables (see
     /// [`P2Config::shared_tables`]).
@@ -315,9 +305,6 @@ impl P2Builder {
         if let Some(shared) = self.shared_intern {
             config.shared_intern = shared;
         }
-        if let Some(parallel) = self.parallel_build {
-            config.parallel_build = parallel;
-        }
         if let Some(tables) = self.shared_tables {
             config.shared_tables = Some(tables);
         }
@@ -371,8 +358,6 @@ mod tests {
         assert_eq!(b.prune_slack, config.prune_slack);
         assert_eq!(b.shared_intern, config.shared_intern);
         assert!(b.shared_intern, "sweep-wide interning defaults on");
-        assert_eq!(b.parallel_build, config.parallel_build);
-        assert!(b.parallel_build, "parallel DAG build defaults on");
         assert_eq!(built.mode(), RunMode::Measure);
     }
 
@@ -423,8 +408,7 @@ mod tests {
             .with_threads(3)
             .with_keep_top(6)
             .with_prune_slack(0.25)
-            .with_shared_intern(false)
-            .with_parallel_build(false);
+            .with_shared_intern(false);
         let rebuilt = P2Builder::from_config(config.clone()).build().unwrap();
         let r = rebuilt.config();
         assert_eq!(r.system.name(), config.system.name());
@@ -441,8 +425,6 @@ mod tests {
         assert_eq!(r.keep_top, config.keep_top);
         assert_eq!(r.prune_slack, config.prune_slack);
         assert_eq!(r.shared_intern, config.shared_intern);
-        assert_eq!(r.parallel_build, config.parallel_build);
-        assert!(!r.parallel_build, "override must survive the round-trip");
         assert_eq!(rebuilt.mode(), RunMode::Measure);
     }
 

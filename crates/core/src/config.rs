@@ -48,9 +48,13 @@ pub struct P2Config {
     /// Simulated runs averaged per measurement.
     pub repeats: usize,
     /// Worker threads for the placement × synthesis sweep: `0` uses every
-    /// available core, `1` runs serially. Results are identical for any value
-    /// — the sweep is order-independent and noise is derived from `seed` and
-    /// program content alone.
+    /// available core, `1` runs serially. It is also each placement's DAG
+    /// build budget
+    /// ([`Synthesizer::with_build_threads`](p2_synthesis::Synthesizer::with_build_threads)):
+    /// any value but `1` lets a heavy placement's build recruit the sweep
+    /// pool's idle workers. Results are identical for any value — the sweep
+    /// is order-independent and noise is derived from `seed` and program
+    /// content alone.
     pub threads: usize,
     /// Retain at most this many program evaluations per placement in a
     /// bounded top-K heap over the program stream, ranked by the same key the
@@ -92,16 +96,6 @@ pub struct P2Config {
     /// deterministic statistic are bit-identical for any worker-thread count,
     /// with shared or private tables; defaults to `true`.
     pub shared_intern: bool,
-    /// Whether each placement's search-DAG construction runs the
-    /// level-synchronous *parallel* build
-    /// ([`Synthesizer::with_build_threads`](p2_synthesis::Synthesizer::with_build_threads)),
-    /// recruiting the sweep pool's idle workers for intra-placement
-    /// expansion. The parallel build is bit-identical to the serial one for
-    /// any thread count, so this only affects wall-clock time; it matters
-    /// most on sweeps whose cost is dominated by one heavy placement.
-    /// Defaults to `true`; `false` forces the serial build. With
-    /// [`P2Config::threads`] of 1 the builds are serial either way.
-    pub parallel_build: bool,
     /// Externally-supplied interning tables, extending
     /// [`P2Config::shared_intern`]'s sweep-wide sharing across every session
     /// holding the same tables (the batch scheduler's cross-spec sharing).
@@ -174,7 +168,6 @@ impl P2Config {
             cost_model: None,
             cost_cache: true,
             shared_intern: true,
-            parallel_build: true,
             shared_tables: None,
             shared_memo: None,
             table_store_dir: None,
@@ -263,7 +256,7 @@ impl P2Config {
     }
 
     /// Sets the worker-thread count for the placement sweep (`0` = all cores,
-    /// `1` = serial — the sentinel is resolved by [`p2_par::par_map_threads`]).
+    /// `1` = serial — the sentinel is resolved by [`p2_par::scope`]).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
@@ -301,13 +294,6 @@ impl P2Config {
     /// [`P2Config::shared_intern`]).
     pub fn with_shared_intern(mut self, shared_intern: bool) -> Self {
         self.shared_intern = shared_intern;
-        self
-    }
-
-    /// Enables or disables the parallel level-synchronous DAG build inside
-    /// each placement (see [`P2Config::parallel_build`]).
-    pub fn with_parallel_build(mut self, parallel_build: bool) -> Self {
-        self.parallel_build = parallel_build;
         self
     }
 

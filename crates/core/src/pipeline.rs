@@ -533,21 +533,19 @@ impl P2 {
         // step memo lives exactly as long as this placement's evaluation.
         let executor = Executor::new(&self.config.system, self.exec_config())?;
         let bound_seed = observer.on_placement_start(index, matrix);
+        // Placement jobs already run on the sweep pool, so the build recruits
+        // the pool's idle workers rather than spawning its own.
         let mut synthesizer = Synthesizer::new(
             matrix.clone(),
             self.config.reduction_axes.clone(),
             self.config.hierarchy_kind,
-        )?;
+        )?
+        .with_build_threads(self.config.threads);
         if let Some(tables) = shared {
             synthesizer = synthesizer.with_shared_tables(Arc::clone(tables));
         }
         if let Some(bank) = memo {
             synthesizer = synthesizer.with_memo_bank(Arc::clone(bank));
-        }
-        if self.config.parallel_build {
-            // Placement jobs already run on the sweep pool, so the build
-            // recruits the pool's idle workers rather than spawning its own.
-            synthesizer = synthesizer.with_build_threads(self.config.threads);
         }
         let baseline = baseline_allreduce(matrix, &self.config.reduction_axes)?;
         let allreduce_predicted = model.program_time(&baseline);

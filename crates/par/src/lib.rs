@@ -1,190 +1,33 @@
 //! Dependency-free data parallelism on scoped OS threads.
 //!
 //! This crate is the workspace's stand-in for `rayon` (the build runs without
-//! network access, so crates.io dependencies are unavailable): it fans a map
-//! over a pool of scoped threads and returns the results **in input order**,
-//! so callers that were deterministic serially stay deterministic in
-//! parallel. Work is distributed dynamically (an atomic cursor over the input)
-//! which keeps cores busy even when per-item cost is highly skewed — exactly
-//! the shape of the placement × synthesis sweep, where one placement can
-//! synthesize orders of magnitude more programs than another.
+//! network access, so crates.io dependencies are unavailable): a scoped
+//! work-stealing pool ([`scope`]) whose [`Scheduler::map`] returns results
+//! **in input order**, so callers that were deterministic serially stay
+//! deterministic in parallel. Idle workers steal queued jobs, which keeps
+//! cores busy even when per-item cost is highly skewed — exactly the shape of
+//! the placement × synthesis sweep, where one placement can synthesize orders
+//! of magnitude more programs than another. [`nested_for_each`] adds
+//! parallelism *inside* a job by recruiting the same pool's idle workers.
 //!
 //! # Example
 //!
 //! ```
-//! let squares = p2_par::par_map(&[1usize, 2, 3, 4], |_, &x| x * x);
+//! let squares = p2_par::scope(0, |s| s.map([1usize, 2, 3, 4], |_, x| x * x));
 //! assert_eq!(squares, vec![1, 4, 9, 16]);
 //! ```
 
 #![deny(missing_docs)]
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 
-/// Number of worker threads `par_map` uses by default: the machine's available
-/// parallelism, or 1 when it cannot be queried.
+/// Number of worker threads a thread count of `0` resolves to: the machine's
+/// available parallelism, or 1 when it cannot be queried.
 pub fn default_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
-}
-
-/// Maps `f` over `items` on up to [`default_threads()`] scoped threads,
-/// returning results in input order. `f` receives the item index alongside the
-/// item so callers can derive per-item seeds or labels.
-pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    par_map_threads(default_threads(), items, f)
-}
-
-/// [`par_map`] with an explicit thread count. `0` resolves to
-/// [`default_threads()`] (every available core), `1` runs serially on the
-/// calling thread; the output is identical for any value.
-pub fn par_map_threads<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let threads = if threads == 0 {
-        default_threads()
-    } else {
-        threads
-    };
-    let workers = threads.min(items.len());
-    if workers <= 1 {
-        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-    }
-    let cursor = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<(usize, R)>();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let tx = tx.clone();
-            let cursor = &cursor;
-            let f = &f;
-            scope.spawn(move || loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(item) = items.get(i) else { break };
-                // A worker may die of a panic in `f`; the send only fails if
-                // the receiver is gone, which cannot happen inside the scope.
-                let _ = tx.send((i, f(i, item)));
-            });
-        }
-        drop(tx);
-        let mut slots: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
-        let mut received = 0usize;
-        for (i, r) in rx {
-            slots[i] = Some(r);
-            received += 1;
-        }
-        assert_eq!(received, items.len(), "a parallel worker panicked");
-        slots
-            .into_iter()
-            .map(|s| s.expect("every slot filled"))
-            .collect()
-    })
-}
-
-/// Maps `f` over a *streamed* sequence of items on worker threads, returning
-/// results in production order without ever materializing the input.
-///
-/// `produce` runs on the calling thread and pushes items one at a time into
-/// the closure it is given; workers pull them from a bounded channel (capacity
-/// `2 × workers`), so at most `O(threads)` items are in flight at any moment —
-/// this is what lets the placement sweep consume
-/// `p2_placement::for_each_matrix` without collecting the matrices first.
-/// `f` receives each item's production index alongside the item.
-///
-/// `threads` follows the [`par_map_threads`] convention: `0` resolves to
-/// [`default_threads()`], `1` runs everything serially on the calling thread.
-/// The output is identical for any value whenever `f` is a pure function of
-/// `(index, item)`.
-///
-/// # Panics
-///
-/// Panics if a worker thread panics.
-///
-/// # Examples
-///
-/// ```
-/// let squares = p2_par::par_map_stream(
-///     0,
-///     |emit| (1usize..=4).for_each(emit),
-///     |_, x| x * x,
-/// );
-/// assert_eq!(squares, vec![1, 4, 9, 16]);
-/// ```
-pub fn par_map_stream<T, R, P, F>(threads: usize, produce: P, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    P: FnOnce(&mut dyn FnMut(T)),
-    F: Fn(usize, T) -> R + Sync,
-{
-    let threads = if threads == 0 {
-        default_threads()
-    } else {
-        threads
-    };
-    if threads <= 1 {
-        let mut out = Vec::new();
-        let mut index = 0usize;
-        let mut emit = |item: T| {
-            out.push(f(index, item));
-            index += 1;
-        };
-        produce(&mut emit);
-        return out;
-    }
-
-    let (work_tx, work_rx) = mpsc::sync_channel::<(usize, T)>(threads * 2);
-    let work_rx = Arc::new(Mutex::new(work_rx));
-    let (result_tx, result_rx) = mpsc::channel::<(usize, R)>();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let work_rx = Arc::clone(&work_rx);
-            let result_tx = result_tx.clone();
-            let f = &f;
-            scope.spawn(move || loop {
-                // Holding the lock only for the blocking recv serializes the
-                // *waiting*, not the work; items are coarse-grained.
-                let item = work_rx.lock().expect("work queue poisoned").recv();
-                let Ok((i, item)) = item else { break };
-                let _ = result_tx.send((i, f(i, item)));
-            });
-        }
-        drop(result_tx);
-        // Workers hold the only receiver handles: if they all die, the send
-        // below fails instead of blocking forever on a full channel.
-        drop(work_rx);
-
-        let mut produced = 0usize;
-        let mut emit = |item: T| {
-            work_tx
-                .send((produced, item))
-                .expect("a parallel worker panicked");
-            produced += 1;
-        };
-        produce(&mut emit);
-        drop(work_tx);
-
-        let mut slots: Vec<Option<R>> = Vec::new();
-        slots.resize_with(produced, || None);
-        let mut received = 0usize;
-        for (i, r) in result_rx {
-            slots[i] = Some(r);
-            received += 1;
-        }
-        assert_eq!(received, produced, "a parallel worker panicked");
-        slots
-            .into_iter()
-            .map(|s| s.expect("every slot filled"))
-            .collect()
-    })
 }
 
 // ---------------------------------------------------------------------------
@@ -584,8 +427,9 @@ impl<'scope, 'env> Scheduler<'scope, 'env> {
         JobHandle { slot }
     }
 
-    /// Spawns one job per item and joins them in order: a work-stolen
-    /// [`par_map`] over owned items, usable from inside a scope.
+    /// Spawns one job per item and joins them in order: a work-stolen map
+    /// over owned items whose results come back in input order. `f`
+    /// receives each item's index alongside the item.
     pub fn map<T, R, F>(&self, items: impl IntoIterator<Item = T>, f: F) -> Vec<R>
     where
         T: Send + 'env,
@@ -660,88 +504,6 @@ pub fn scope_with<'env, T>(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn preserves_input_order() {
-        let input: Vec<usize> = (0..257).collect();
-        let out = par_map(&input, |i, &x| {
-            assert_eq!(i, x);
-            x * 2
-        });
-        assert_eq!(out, input.iter().map(|x| x * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn serial_and_parallel_agree() {
-        let input: Vec<u64> = (0..100).collect();
-        let serial = par_map_threads(1, &input, |i, &x| x.wrapping_mul(i as u64 + 3));
-        for threads in [2, 4, 8] {
-            let parallel = par_map_threads(threads, &input, |i, &x| x.wrapping_mul(i as u64 + 3));
-            assert_eq!(serial, parallel);
-        }
-    }
-
-    #[test]
-    fn empty_and_singleton_inputs() {
-        assert_eq!(par_map::<u32, u32, _>(&[], |_, &x| x), Vec::<u32>::new());
-        assert_eq!(par_map(&[7u32], |_, &x| x + 1), vec![8]);
-    }
-
-    #[test]
-    fn zero_threads_means_all_cores() {
-        let input: Vec<usize> = (0..50).collect();
-        let auto = par_map_threads(0, &input, |_, &x| x + 1);
-        assert_eq!(auto, par_map_threads(1, &input, |_, &x| x + 1));
-    }
-
-    #[test]
-    fn more_threads_than_items_is_fine() {
-        let out = par_map_threads(64, &[1u8, 2], |_, &x| x);
-        assert_eq!(out, vec![1, 2]);
-    }
-
-    #[test]
-    fn stream_preserves_production_order() {
-        for threads in [0usize, 1, 2, 4, 8] {
-            let out = par_map_stream(
-                threads,
-                |emit| (0usize..257).for_each(emit),
-                |i, x| {
-                    assert_eq!(i, x);
-                    x * 2
-                },
-            );
-            assert_eq!(out, (0..257).map(|x| x * 2).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn stream_and_slice_map_agree() {
-        let input: Vec<u64> = (0..100).collect();
-        let slice = par_map_threads(1, &input, |i, &x| x.wrapping_mul(i as u64 + 3));
-        for threads in [1, 2, 4] {
-            let stream = par_map_stream(
-                threads,
-                |emit| input.iter().copied().for_each(emit),
-                |i, x| x.wrapping_mul(i as u64 + 3),
-            );
-            assert_eq!(slice, stream);
-        }
-    }
-
-    #[test]
-    fn stream_with_no_items_returns_empty() {
-        for threads in [1usize, 4] {
-            let out = par_map_stream(threads, |_emit| {}, |_, x: usize| x);
-            assert!(out.is_empty());
-        }
-    }
-
-    #[test]
-    fn stream_with_more_threads_than_items_is_fine() {
-        let out = par_map_stream(64, |emit| [1u8, 2].into_iter().for_each(emit), |_, x| x);
-        assert_eq!(out, vec![1, 2]);
-    }
 
     #[test]
     fn scheduler_spawn_join_returns_results() {

@@ -12,9 +12,7 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use p2_collectives::{
-    apply_to_groups, ApplyCache, Collective, FxHashMap, SharedTables, State, StateInterner,
-};
+use p2_collectives::{apply_to_groups, Collective, FxHashMap, SharedTables, State};
 use p2_placement::ParallelismMatrix;
 
 use crate::context::SynthesisContext;
@@ -43,9 +41,9 @@ pub struct SynthesisStats {
     /// Programs handed to the sink (equals the program count unless the sink
     /// stopped the enumeration early).
     pub programs_emitted: usize,
-    /// Distinct device states hash-consed by the search's [`StateInterner`]
-    /// (its peak size — the interner only grows). Zero on the reference
-    /// (no-interning) path.
+    /// Distinct device states this search interned: initial, goal and every
+    /// successful application output, however many other states its
+    /// [`SharedTables`] hold. Zero on the reference (no-interning) path.
     pub unique_device_states: usize,
     /// Collective applications answered from the transposition cache without
     /// running the semantics. Zero on the reference path.
@@ -304,125 +302,6 @@ fn intern_state_reference(
     (id, true)
 }
 
-/// The hash-consing tables a graph build runs against: either private to this
-/// search, or a sweep-shared [`SharedTables`] every placement reads and grows
-/// concurrently. All consumers use interned ids only for equality and
-/// memoization, so the nondeterministic id assignment of the shared mode
-/// cannot leak into the search's observable results.
-enum Tables<'a> {
-    Local {
-        interner: StateInterner,
-        cache: ApplyCache,
-    },
-    Shared {
-        tables: &'a SharedTables,
-        /// Ids observed by *this* search — the same universe a local interner
-        /// would hold (initial ∪ goal ∪ successful application outputs), so
-        /// `seen.len()` keeps `unique_device_states` deterministic and
-        /// mode-independent.
-        seen: FxHashSet<u32>,
-        reused: usize,
-        hits: usize,
-        misses: usize,
-    },
-}
-
-impl Tables<'_> {
-    fn intern(&mut self, state: State) -> u32 {
-        match self {
-            Tables::Local { interner, .. } => interner.intern(state),
-            Tables::Shared {
-                tables,
-                seen,
-                reused,
-                ..
-            } => {
-                let (id, was_present) = tables.intern(state);
-                if seen.insert(id) && was_present {
-                    *reused += 1;
-                }
-                id
-            }
-        }
-    }
-
-    /// Applies `collective` to `members`, appending the post-state ids to
-    /// `out` on success.
-    fn apply(&mut self, collective: Collective, members: &[u32], out: &mut Vec<u32>) -> bool {
-        match self {
-            Tables::Local {
-                interner, cache, ..
-            } => match cache.apply(interner, collective, members) {
-                Ok(after) => {
-                    out.extend_from_slice(after);
-                    true
-                }
-                Err(_) => false,
-            },
-            Tables::Shared {
-                tables,
-                seen,
-                reused,
-                hits,
-                misses,
-            } => {
-                let (result, hit) = tables.apply(collective, members);
-                if hit {
-                    *hits += 1;
-                } else {
-                    *misses += 1;
-                }
-                match result {
-                    Ok(after) => {
-                        for &id in after.iter() {
-                            // A cache hit's outputs were necessarily already
-                            // interned (by whoever populated the entry).
-                            if seen.insert(id) && hit {
-                                *reused += 1;
-                            }
-                        }
-                        out.extend_from_slice(&after);
-                        true
-                    }
-                    Err(_) => false,
-                }
-            }
-        }
-    }
-
-    fn with_state<R>(&self, id: u32, f: impl FnOnce(&State) -> R) -> R {
-        match self {
-            Tables::Local { interner, .. } => f(interner.get(id)),
-            Tables::Shared { tables, .. } => f(&tables.get(id)),
-        }
-    }
-
-    /// Folds the table counters into `stats` at the end of a build.
-    fn finish(self, stats: &mut SynthesisStats) {
-        match self {
-            Tables::Local {
-                interner, cache, ..
-            } => {
-                stats.unique_device_states = interner.len();
-                stats.apply_cache_hits = cache.hits();
-                stats.apply_cache_misses = cache.misses();
-            }
-            Tables::Shared {
-                seen,
-                reused,
-                hits,
-                misses,
-                ..
-            } => {
-                stats.unique_device_states = seen.len();
-                stats.apply_cache_hits = hits;
-                stats.apply_cache_misses = misses;
-                stats.shared_states_reused = reused;
-            }
-        }
-    }
-}
-
 /// The completed product of a graph build: the search DAG plus (optionally)
 /// the per-state interned id tuples and per-id data fractions the best-cost
 /// DP needs to cost individual edges.
@@ -448,15 +327,16 @@ struct BuiltGraph {
 #[derive(Debug, Clone)]
 pub struct Synthesizer {
     ctx: SynthesisContext,
-    /// Sweep-shared hash-consing tables, when the owning sweep provides them.
+    /// Sweep-shared hash-consing tables, when the owning sweep provides them;
+    /// otherwise every search builds over a fresh private instance.
     shared: Option<Arc<SharedTables>>,
     /// Sweep-shared suffix-memo bank: searches seed their counting DP from
     /// slabs published by earlier searches over the same context (this run,
     /// or a previous one through the table store).
     memo_bank: Option<Arc<MemoBank>>,
-    /// Worker budget for the level-synchronous parallel DAG build: `1`
-    /// (default) runs the serial build, `0` means all cores, `n > 1` a pool
-    /// of `n`. See [`Synthesizer::with_build_threads`].
+    /// Worker budget for the level-synchronous DAG build: `1` (default)
+    /// expands every level inline, `0` means all cores, `n > 1` a pool of
+    /// `n`. See [`Synthesizer::with_build_threads`].
     build_threads: usize,
 }
 
@@ -489,24 +369,25 @@ impl Synthesizer {
         }
     }
 
-    /// Sets the worker budget for the level-synchronous parallel DAG build.
+    /// Sets the worker budget for the level-synchronous DAG build.
     ///
-    /// `1` (the default) keeps the serial breadth-first build; `0` resolves
-    /// to all cores; `n > 1` expands each BFS level's states concurrently on
-    /// `n` workers. When the calling thread is already a [`p2_par::scope`]
-    /// pool worker (a placement job inside a sweep), the *ambient* pool's
-    /// idle workers are recruited instead of creating a nested pool, so
-    /// inter- and intra-placement work share one thread budget.
+    /// `1` (the default) expands each level's states in order on the calling
+    /// thread; `0` resolves to all cores; `n > 1` expands each level's states
+    /// concurrently on `n` workers. When the calling thread is already a
+    /// [`p2_par::scope`] pool worker (a placement job inside a sweep), any
+    /// value other than `1` recruits the *ambient* pool's idle workers
+    /// instead of creating a nested pool, so inter- and intra-placement work
+    /// share one thread budget.
     ///
     /// Results are **bit-identical** for any value: each level's expansions
-    /// are merged in (parent index, candidate index) order, reproducing the
-    /// serial build's state numbering, edges, counts and programs exactly.
+    /// are merged in (parent index, candidate index) order, so state
+    /// numbering, edges, counts and programs never depend on the workers.
     pub fn with_build_threads(mut self, threads: usize) -> Self {
         self.build_threads = threads;
         self
     }
 
-    /// The configured parallel-build worker budget (see
+    /// The configured DAG-build worker budget (see
     /// [`Synthesizer::with_build_threads`]).
     pub fn build_threads(&self) -> usize {
         self.build_threads
@@ -1012,11 +893,15 @@ impl Synthesizer {
         }))
     }
 
-    /// Explores the state space once (breadth-first, each state expanded a
-    /// single time) and computes per-state distances to the goal — serially
-    /// or level-synchronously in parallel, per
-    /// [`Synthesizer::with_build_threads`]. Both paths produce bit-identical
-    /// graphs (state numbering, edges, counts) and deterministic stats.
+    /// Explores the state space once, level by level (each state expanded a
+    /// single time), and computes per-state distances to the goal.
+    ///
+    /// `build_threads == 1` expands every level inline on the calling
+    /// thread. Any other value fans each level out: over the ambient pool
+    /// when the caller is already a pool worker (a placement job inside a
+    /// sweep, so inter- and intra-placement work share one thread budget),
+    /// else over a fresh pool of the resolved size. Every mode runs the same
+    /// builder and yields bit-identical graphs and deterministic stats.
     fn build_graph(
         &self,
         candidates: &[Candidate],
@@ -1024,206 +909,42 @@ impl Synthesizer {
         stats: &mut SynthesisStats,
         keep_tuples: bool,
     ) -> BuiltGraph {
-        if self.build_threads == 1 {
-            return self.build_graph_serial(candidates, max_size, stats, keep_tuples);
+        let inline = self.build_threads == 1;
+        if inline || p2_par::on_pool_worker() {
+            return self.build_levels(candidates, max_size, stats, keep_tuples, inline);
         }
-        if p2_par::on_pool_worker() {
-            // Inside a sweep's placement job: recruit the ambient pool's idle
-            // workers instead of spawning a nested pool, so inter- and
-            // intra-placement work share one thread budget.
-            return self.build_graph_parallel(candidates, max_size, stats, keep_tuples);
-        }
-        let threads = if self.build_threads == 0 {
-            p2_par::default_threads()
-        } else {
-            self.build_threads
-        };
-        if threads <= 1 {
-            return self.build_graph_serial(candidates, max_size, stats, keep_tuples);
-        }
-        p2_par::with_pool(threads, || {
-            self.build_graph_parallel(candidates, max_size, stats, keep_tuples)
+        p2_par::with_pool(self.build_threads, || {
+            self.build_levels(candidates, max_size, stats, keep_tuples, false)
         })
     }
 
-    /// The serial breadth-first build.
+    /// The level-synchronous build: all states of one BFS level are expanded
+    /// (each expansion produces its candidate-ordered list of surviving
+    /// successor tuples), then merged *serially* in (parent index, candidate
+    /// index) order — breadth-first discovery order — so state numbering,
+    /// edges, `is_goal` and every downstream artifact are identical whether
+    /// the expansions ran `inline` in order or concurrently through
+    /// [`p2_par::nested_for_each`], for any worker count and steal seed.
     ///
-    /// Device states are hash-consed to dense `u32` ids by a
-    /// [`StateInterner`], so a synthesis-space state is a flat id slice:
-    /// memoizing a state hashes a few words instead of k×k bit matrices, and
-    /// devices sharing a state (the common case after collectives on
-    /// symmetric groups) share storage. Collective applications go through
-    /// an [`ApplyCache`] transposition table keyed by `(collective,
-    /// participant ids)` — strictly finer than a per-`(collective,
-    /// grouping)` memo, since the semantics only sees the ordered
-    /// participants — so symmetric groupings and convergent paths skip the
-    /// semantics entirely, and goal reachability (Lemma B.3) is a per-id
-    /// table lookup. The expansion loop reuses its scratch buffers across
-    /// candidates: a cache-hit application allocates nothing.
-    fn build_graph_serial(
+    /// Device states are hash-consed to dense `u32` ids, so a synthesis
+    /// state is a flat id slice, and collective applications go through the
+    /// `(collective, participant ids)` transposition table, so symmetric
+    /// groupings and convergent paths skip the semantics. Both live in
+    /// [`SharedTables`] (the sweep's, or a fresh private instance): its
+    /// sharded maps and lock-free id → state arena are what let concurrent
+    /// expanders interleave without serializing on one lock. Device-state
+    /// ids are assigned in thread-arrival order — observable results never
+    /// depend on them (they are used for equality and memoization only), but
+    /// the `apply_cache_hits`/`misses` *split* becomes interleaving-dependent
+    /// (two workers can race to the same miss); the sum stays deterministic,
+    /// as do all other stats.
+    fn build_levels(
         &self,
         candidates: &[Candidate],
         max_size: usize,
         stats: &mut SynthesisStats,
         keep_tuples: bool,
-    ) -> BuiltGraph {
-        let mut tables = match &self.shared {
-            Some(shared) => Tables::Shared {
-                tables: shared,
-                seen: FxHashSet::default(),
-                reused: 0,
-                hits: 0,
-                misses: 0,
-            },
-            None => Tables::Local {
-                interner: StateInterner::new(),
-                cache: ApplyCache::new(),
-            },
-        };
-        let (distinct_goals, goal_index) = self.ctx.distinct_goal_states();
-        // respects[id][g]: whether interned state `id` is ≤ distinct goal `g`,
-        // computed lazily per id and stored in a map keyed by id — a shared
-        // or warm-started interner also holds other placements' states, which
-        // this search must never scan *or allocate slots for* (an id-indexed
-        // dense table would grow with the global interner, not this search).
-        let mut respects: FxHashMap<u32, Box<[bool]>> = FxHashMap::default();
-
-        let init_ids: Box<[u32]> = self
-            .ctx
-            .initial_states()
-            .into_iter()
-            .map(|s| tables.intern(s))
-            .collect();
-        let goal_ids: Box<[u32]> = self
-            .ctx
-            .goal_states()
-            .into_iter()
-            .map(|s| tables.intern(s))
-            .collect();
-
-        let mut ids: FxHashMap<Box<[u32]>, usize> = FxHashMap::default();
-        let mut is_goal: Vec<bool> = Vec::new();
-        let mut edges: Vec<Option<Vec<(usize, usize)>>> = Vec::new();
-        let mut tuples: Vec<Box<[u32]>> = Vec::new();
-        let mut queue: VecDeque<(usize, usize, Box<[u32]>)> = VecDeque::new();
-
-        let init_id = 0usize;
-        is_goal.push(init_ids == goal_ids);
-        edges.push(None);
-        if keep_tuples {
-            tuples.push(init_ids.clone());
-        }
-        ids.insert(init_ids.clone(), init_id);
-        queue.push_back((init_id, 0, init_ids));
-
-        // Scratch buffers reused across every candidate expansion.
-        let mut next_ids: Vec<u32> = Vec::new();
-        let mut member_ids: Vec<u32> = Vec::new();
-
-        while let Some((id, depth, state_ids)) = queue.pop_front() {
-            // The goal is absorbing, and states first reached at the size
-            // limit can never be extended — neither is expanded.
-            if is_goal[id] || depth >= max_size {
-                continue;
-            }
-            stats.states_explored += 1;
-            let mut out = Vec::new();
-            'candidate: for (ci, (instr, groups)) in candidates.iter().enumerate() {
-                stats.instructions_tried += 1;
-                next_ids.clear();
-                next_ids.extend_from_slice(&state_ids);
-                for group in groups {
-                    member_ids.clear();
-                    member_ids.extend(group.iter().map(|&d| state_ids[d]));
-                    let base = next_ids.len();
-                    if !tables.apply(instr.collective, &member_ids, &mut next_ids) {
-                        continue 'candidate;
-                    }
-                    for (i, &d) in group.iter().enumerate() {
-                        next_ids[d] = next_ids[base + i];
-                    }
-                    next_ids.truncate(base);
-                }
-                // Prune states that can no longer reach the goal (Lemma B.3).
-                let respects_all = (0..next_ids.len()).all(|d| {
-                    let sid = next_ids[d];
-                    let row = respects.entry(sid).or_insert_with(|| {
-                        tables.with_state(sid, |state| {
-                            distinct_goals.iter().map(|g| state.le(g)).collect()
-                        })
-                    });
-                    row[goal_index[d]]
-                });
-                if !respects_all {
-                    continue;
-                }
-                if next_ids[..] == state_ids[..] {
-                    continue;
-                }
-                let next_id = match ids.get(next_ids.as_slice()) {
-                    Some(&existing) => existing,
-                    None => {
-                        let new_id = is_goal.len();
-                        let key: Box<[u32]> = next_ids.as_slice().into();
-                        is_goal.push(key == goal_ids);
-                        edges.push(None);
-                        if keep_tuples {
-                            tuples.push(key.clone());
-                        }
-                        ids.insert(key.clone(), new_id);
-                        queue.push_back((new_id, depth + 1, key));
-                        new_id
-                    }
-                };
-                out.push((ci, next_id));
-            }
-            edges[id] = Some(out);
-        }
-
-        let fractions = keep_tuples.then(|| {
-            let mut fractions: FxHashMap<u32, f64> = FxHashMap::default();
-            for tuple in &tuples {
-                for &sid in tuple.iter() {
-                    fractions
-                        .entry(sid)
-                        .or_insert_with(|| tables.with_state(sid, State::data_fraction));
-                }
-            }
-            fractions
-        });
-        stats.goal_respects_entries = respects.len();
-        tables.finish(stats);
-        BuiltGraph {
-            graph: Self::finish_graph(is_goal, edges),
-            init_id,
-            tuples: keep_tuples.then_some(tuples),
-            fractions,
-        }
-    }
-
-    /// The level-synchronous parallel build: all states of one BFS level are
-    /// expanded concurrently (each expansion job produces its candidate-
-    /// ordered list of surviving successor tuples), then merged *serially* in
-    /// (parent index, candidate index) order — exactly the order the serial
-    /// FIFO build discovers states in, so state numbering, edges, `is_goal`,
-    /// and every downstream artifact are bit-identical to
-    /// [`Synthesizer::build_graph_serial`] for any worker count and steal
-    /// seed.
-    ///
-    /// Expansions run against [`SharedTables`] (the sweep's, or private fresh
-    /// ones): its sharded maps and lock-free id → state arena are what let
-    /// concurrent expanders interleave without serializing on one lock.
-    /// Device-state ids are assigned in thread-arrival order — observable
-    /// results never depend on them (they are used for equality and
-    /// memoization only), but the `apply_cache_hits`/`misses` *split* becomes
-    /// interleaving-dependent (two workers can race to the same miss); the
-    /// sum stays deterministic, as do all other stats.
-    fn build_graph_parallel(
-        &self,
-        candidates: &[Candidate],
-        max_size: usize,
-        stats: &mut SynthesisStats,
-        keep_tuples: bool,
+        inline: bool,
     ) -> BuiltGraph {
         use std::sync::atomic::{AtomicUsize, Ordering};
         use std::sync::{Mutex, RwLock};
@@ -1266,10 +987,12 @@ impl Synthesizer {
             }
         };
 
-        // Lazy goal-compatibility rows (Lemma B.3), sharded by id. Racing
-        // workers may compute the same row twice — the row is a pure function
-        // of the state, so whichever insert wins is identical and the table
-        // stays deterministic in content and size.
+        // Lazy goal-compatibility rows (Lemma B.3), keyed and sharded by id —
+        // never indexed densely, since shared or warm-started tables also hold
+        // other searches' states, which this search must neither scan nor
+        // allocate for. Racing workers may compute the same row twice — the
+        // row is a pure function of the state, so whichever insert wins is
+        // identical and the table stays deterministic in content and size.
         let respects: Vec<RwLock<FxHashMap<u32, Box<[bool]>>>> = (0..TRACK_SHARDS)
             .map(|_| RwLock::new(FxHashMap::default()))
             .collect();
@@ -1321,7 +1044,7 @@ impl Synthesizer {
         }
         let mut depth = 0usize;
         while !frontier.is_empty() {
-            // Expand every frontier state concurrently; each job writes its
+            // Expand every frontier state; each expansion writes its
             // surviving `(candidate index, successor tuple)` list — already
             // in candidate order — into its own slot.
             type Successors = Vec<(usize, Box<[u32]>)>;
@@ -1330,7 +1053,7 @@ impl Synthesizer {
             {
                 let frontier = &frontier;
                 let slots = &slots;
-                p2_par::nested_for_each(frontier.len(), &|fi| {
+                let expand = |fi: usize| {
                     let (_, state_ids) = &frontier[fi];
                     let mut out: Vec<(usize, Box<[u32]>)> = Vec::new();
                     let mut next_ids: Vec<u32> = Vec::new();
@@ -1375,12 +1098,17 @@ impl Synthesizer {
                         out.push((ci, next_ids.as_slice().into()));
                     }
                     *slots[fi].lock().expect("expansion slot poisoned") = Some(out);
-                });
+                };
+                if inline {
+                    (0..frontier.len()).for_each(expand);
+                } else {
+                    p2_par::nested_for_each(frontier.len(), &expand);
+                }
             }
 
-            // Serial merge in (parent index, candidate index) order — the
-            // exact discovery order of the serial FIFO build, so new ids come
-            // out identical.
+            // Serial merge in (parent index, candidate index) order —
+            // breadth-first discovery order, so new ids never depend on which
+            // worker expanded which state.
             let mut next_frontier: Vec<(usize, Box<[u32]>)> = Vec::new();
             for (fi, (id, _)) in frontier.iter().enumerate() {
                 let surviving = slots[fi]
@@ -1458,7 +1186,7 @@ impl Synthesizer {
     /// The pre-interning search: synthesis states memoized by their full
     /// `Vec<State>`, every collective application re-run through the
     /// semantics. Kept as the oracle [`Synthesizer::synthesize_reference`]
-    /// and the `state_intern` bench compare the interned engine against.
+    /// compares the interned engine against.
     fn build_graph_reference(
         &self,
         candidates: &[Candidate],
@@ -1567,7 +1295,7 @@ impl Synthesizer {
     /// device-state hash-consing, no transposition cache. Slower by design —
     /// it exists as the oracle the interned engine is pinned against (same
     /// program set, same order, same `states_explored`) in the test suite
-    /// and as the "old" side of the `state_intern` bench.
+    /// and the `reference_full` side of the `synthesis` bench.
     pub fn synthesize_reference(&self, max_size: usize) -> SynthesisResult {
         let mut programs: Vec<Program> = Vec::new();
         let stats = self.for_each_program_reference(max_size, &mut |p: &Program| {
@@ -2129,14 +1857,14 @@ mod tests {
     }
 
     #[test]
-    fn parallel_build_matches_serial_bit_for_bit() {
-        let serial = synth_d();
-        assert_eq!(serial.build_threads(), 1);
+    fn build_threads_match_one_thread_bit_for_bit() {
+        let one = synth_d();
+        assert_eq!(one.build_threads(), 1);
         for threads in [0usize, 2, 8] {
-            let parallel = synth_d().with_build_threads(threads);
+            let many = synth_d().with_build_threads(threads);
             for max_size in 1..=5 {
-                let a = serial.synthesize(max_size);
-                let b = parallel.synthesize(max_size);
+                let a = one.synthesize(max_size);
+                let b = many.synthesize(max_size);
                 assert_eq!(
                     a.programs, b.programs,
                     "programs diverged at threads={threads} size={max_size}"
@@ -2151,9 +1879,9 @@ mod tests {
     }
 
     #[test]
-    fn parallel_build_count_and_best_cost_agree_with_serial() {
-        let serial = synth_d();
-        let parallel = synth_d().with_build_threads(8);
+    fn build_threads_agree_with_one_thread_on_counts_and_best_cost() {
+        let one = synth_d().with_build_threads(1);
+        let many = synth_d().with_build_threads(8);
         let mut cost = |step: &LoweredStep| {
             step.groups
                 .iter()
@@ -2161,15 +1889,15 @@ mod tests {
                 .sum::<f64>()
         };
         for max_size in 0..=6 {
-            let a = serial.count_programs(max_size);
-            let b = parallel.count_programs(max_size);
+            let a = one.count_programs(max_size);
+            let b = many.count_programs(max_size);
             assert_eq!(a.total, b.total, "count diverged at size {max_size}");
             assert_eq!(a.by_length, b.by_length);
             assert_eq!(a.stats.states_explored, b.stats.states_explored);
         }
         for max_size in 1..=5 {
-            let a = serial.best_cost_program(max_size, &mut cost).unwrap();
-            let b = parallel.best_cost_program(max_size, &mut cost).unwrap();
+            let a = one.best_cost_program(max_size, &mut cost).unwrap();
+            let b = many.best_cost_program(max_size, &mut cost).unwrap();
             match (a, b) {
                 (Some(a), Some(b)) => {
                     assert_eq!(a.program, b.program, "best program diverged at {max_size}");
@@ -2182,16 +1910,16 @@ mod tests {
     }
 
     #[test]
-    fn parallel_build_over_shared_tables_matches_serial() {
+    fn multithreaded_build_over_shared_tables_matches_one_thread() {
         use p2_collectives::SharedTables;
-        let serial = synth_d();
+        let one = synth_d().with_build_threads(1);
         let tables = Arc::new(SharedTables::new());
-        let parallel = synth_d()
+        let many = synth_d()
             .with_shared_tables(Arc::clone(&tables))
             .with_build_threads(4);
         for max_size in 1..=5 {
-            let a = serial.synthesize(max_size);
-            let b = parallel.synthesize(max_size);
+            let a = one.synthesize(max_size);
+            let b = many.synthesize(max_size);
             assert_eq!(a.programs, b.programs, "size {max_size}");
             assert_eq!(
                 deterministic_stats(&a.stats),
@@ -2207,7 +1935,7 @@ mod tests {
             .with_shared_tables(Arc::clone(&tables))
             .with_build_threads(4)
             .synthesize(5);
-        assert_eq!(rerun.programs, serial.synthesize(5).programs);
+        assert_eq!(rerun.programs, one.synthesize(5).programs);
         assert_eq!(
             rerun.stats.shared_states_reused,
             rerun.stats.unique_device_states

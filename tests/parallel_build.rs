@@ -1,7 +1,8 @@
-//! Cross-crate tests of the parallel level-synchronous DAG build: the
-//! parallel construction must be bit-identical to the serial one for any
-//! thread count and any steal schedule, and the shared tables it runs on
-//! must stay consistent under arbitrary concurrent hammering.
+//! Cross-crate tests of the level-synchronous DAG build: its result must be
+//! bit-identical for any thread count and any steal schedule, agree with the
+//! reference oracle, and reproduce statistics pinned as absolute numbers;
+//! the shared tables it runs on must stay consistent under arbitrary
+//! concurrent hammering.
 
 use std::sync::Arc;
 
@@ -52,10 +53,12 @@ fn small_scenario() -> impl Strategy<Value = (SystemTopology, Vec<usize>, usize)
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// For random small matrices, the parallel build reproduces the serial
-    /// build bit for bit — same programs in the same order, same
-    /// deterministic statistics — at thread counts 2 and 8 (and 0 = all
-    /// cores), across sizes 1..=3.
+    /// For random small matrices under every hierarchy kind, every thread
+    /// count (1, 2, 8 and 0 = all cores) reproduces the one-thread build bit
+    /// for bit — same programs in the same order, same deterministic
+    /// statistics — and the reference oracle's programs, order and
+    /// `states_explored`, across sizes 1..=3. The kinds other than
+    /// `ReductionAxes` are where the goal-reachability prune fires.
     #[test]
     fn parallel_build_matches_serial_for_random_scenarios(
         (system, axes, reduction_axis) in small_scenario()
@@ -63,25 +66,25 @@ proptest! {
         let arities = system.hierarchy().arities();
         for matrix in enumerate_matrices(&arities, &axes).unwrap().into_iter().take(2) {
             prop_assume!(matrix.axis_sizes()[reduction_axis] > 1);
-            for max_size in 1..=3 {
-                let serial =
-                    Synthesizer::new(matrix.clone(), vec![reduction_axis], HierarchyKind::ReductionAxes)
-                        .unwrap()
-                        .synthesize(max_size);
-                for threads in [0usize, 2, 8] {
-                    let parallel = Synthesizer::new(
-                        matrix.clone(),
-                        vec![reduction_axis],
-                        HierarchyKind::ReductionAxes,
-                    )
-                    .unwrap()
-                    .with_build_threads(threads)
-                    .synthesize(max_size);
-                    prop_assert_eq!(&parallel.programs, &serial.programs);
-                    prop_assert_eq!(
-                        deterministic_stats(&parallel.stats),
-                        deterministic_stats(&serial.stats)
-                    );
+            for kind in HierarchyKind::ALL {
+                let synth = Synthesizer::new(matrix.clone(), vec![reduction_axis], kind).unwrap();
+                for max_size in 1..=3 {
+                    let reference = synth.synthesize_reference(max_size);
+                    let serial = synth.clone().with_build_threads(1).synthesize(max_size);
+                    for threads in [1usize, 0, 2, 8] {
+                        let parallel =
+                            synth.clone().with_build_threads(threads).synthesize(max_size);
+                        prop_assert_eq!(&parallel.programs, &serial.programs);
+                        prop_assert_eq!(
+                            deterministic_stats(&parallel.stats),
+                            deterministic_stats(&serial.stats)
+                        );
+                        prop_assert_eq!(&parallel.programs, &reference.programs);
+                        prop_assert_eq!(
+                            parallel.stats.states_explored,
+                            reference.stats.states_explored
+                        );
+                    }
                 }
             }
         }
@@ -104,8 +107,8 @@ fn pinned_cases() -> Vec<(ParallelismMatrix, Vec<usize>)> {
     vec![(figure2d, vec![1]), (rack_matrix, vec![0])]
 }
 
-/// The parallel build is bit-identical to the serial build for every steal
-/// schedule: running inside pools seeded with arbitrary deque-assignment
+/// A multithreaded build is bit-identical to the one-thread build for every
+/// steal schedule: running inside pools seeded with arbitrary deque-assignment
 /// permutations (so jobs land on different workers and steals happen in
 /// different orders) never changes a program, its position, or a
 /// deterministic statistic.
@@ -150,8 +153,8 @@ fn parallel_build_is_bit_identical_across_steal_seeds() {
     }
 }
 
-/// Several parallel builds over one shared table set, racing each other,
-/// still each reproduce their serial result exactly.
+/// Several multithreaded builds over one shared table set, racing each
+/// other, still each reproduce their one-thread result exactly.
 #[test]
 fn concurrent_parallel_builds_share_tables_without_divergence() {
     let tables = Arc::new(SharedTables::new());
@@ -279,5 +282,44 @@ fn shared_tables_survive_multithreaded_hammering() {
     for id in 0..n as u32 {
         let state = tables.get(id);
         assert_eq!(tables.intern(state.as_ref().clone()).0, id);
+    }
+}
+
+/// Absolute pins of the deterministic search statistics, so the builder is
+/// checked against fixed numbers and not only against itself at another
+/// thread count: every thread count, with private tables or a freshly
+/// attached [`SharedTables`], must reproduce them, and the count-only path
+/// the same program totals.
+#[test]
+fn deterministic_stats_are_pinned_for_every_thread_count_and_table_mode() {
+    // (size, (states explored, instructions tried, candidates, programs
+    // emitted, unique device states, goal-respects entries, apply lookups),
+    // program count)
+    let pins = [
+        (6, (39, 780, 20, 93, 34, 32, 848), 93),
+        (7, (743, 33_435, 45, 8_749, 561, 558, 38_694), 8_749),
+    ];
+    for ((matrix, reduction), (size, stats, count)) in pinned_cases().into_iter().zip(pins) {
+        for threads in [1usize, 2, 0] {
+            for attach_tables in [false, true] {
+                let mut synth = Synthesizer::new(
+                    matrix.clone(),
+                    reduction.clone(),
+                    HierarchyKind::ReductionAxes,
+                )
+                .unwrap()
+                .with_build_threads(threads);
+                if attach_tables {
+                    synth = synth.with_shared_tables(Arc::new(SharedTables::new()));
+                }
+                let result = synth.synthesize(size);
+                assert_eq!(
+                    deterministic_stats(&result.stats),
+                    stats,
+                    "threads={threads} attached={attach_tables} size={size}"
+                );
+                assert_eq!(synth.count_programs(size).total, count);
+            }
+        }
     }
 }
