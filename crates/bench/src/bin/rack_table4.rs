@@ -59,9 +59,9 @@ fn main() {
 
     let options = BatchOptions {
         threads,
+        share_bounds: true,
         ..BatchOptions::default()
-    }
-    .sharing();
+    };
     let outcome = run_batch(&sessions, &options, &()).expect("pipeline runs");
 
     for (i, (result, oversubscription)) in outcome.results.iter().zip(&bins).enumerate() {

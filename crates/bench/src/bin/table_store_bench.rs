@@ -1,7 +1,8 @@
 //! Cross-run table-store warm-start benchmark: synthesizes the heaviest
 //! rack/node/GPU placement cold, snapshots the search tables through
-//! [`p2_core::TableStore`], warm-starts a fresh synthesizer from the
-//! snapshot, and gates on the warm/cold speedup.
+//! [`p2_core::TableStore::persist`], warm-starts a fresh synthesizer from the
+//! snapshot through [`p2_core::TableStore::warm`] — the protocol sessions and
+//! the planner use — and gates on the warm/cold speedup.
 //!
 //! The program counts of both runs are asserted bit-identical (and, at the
 //! default size 7 count-only, against the pinned constant the synthesis
@@ -19,7 +20,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use p2_collectives::SharedTables;
-use p2_core::{TableSnapshot, TableStore, TableStoreStats, P2};
+use p2_core::{TableStore, TableStoreStats, P2};
 use p2_placement::enumerate_matrices;
 use p2_synthesis::{HierarchyKind, MemoBank, Synthesizer};
 use p2_topology::presets;
@@ -104,11 +105,10 @@ fn main() {
         cold_ms = cold_ms.min(start.elapsed().as_secs_f64() * 1e3);
         cold_total = count.total;
         if repeat == 0 {
-            let start = Instant::now();
-            let snapshot = TableSnapshot::capture(Some(&tables), &bank);
-            assert!(!snapshot.is_empty(), "cold run produced an empty snapshot");
-            store.save(key, &snapshot).expect("saving the snapshot");
-            save_ms = start.elapsed().as_secs_f64() * 1e3;
+            let mut stats = TableStoreStats::default();
+            store.persist(key, Some(&tables), &bank, &mut stats);
+            assert!(stats.saved, "the cold run's snapshot was not saved");
+            save_ms = stats.save_micros as f64 / 1e3;
         }
     }
     if size == 7 {
@@ -127,11 +127,9 @@ fn main() {
     for _ in 0..repeats {
         let tables = Arc::new(SharedTables::new());
         let bank = Arc::new(MemoBank::new());
-        let start = Instant::now();
-        let snapshot = store.load(key).expect("snapshot loads back");
-        let mut stats = TableStoreStats::default();
-        snapshot.install(Some(&tables), &bank, &mut stats);
-        load_ms = start.elapsed().as_secs_f64() * 1e3;
+        let stats = store.warm(key, Some(&tables), &bank);
+        load_ms = stats.load_micros as f64 / 1e3;
+        assert!(stats.loaded, "snapshot did not load back");
         assert!(stats.warm_states > 0, "snapshot warmed no states");
         warm_stats = stats;
         let synth = synthesizer(&tables, &bank);

@@ -1,9 +1,11 @@
 //! Deterministic batch scheduling: many experiment sessions on **one**
 //! work-stealing thread pool, with opt-in cross-spec sharing of the dyadic
-//! pruning bound and the synthesis interning tables.
+//! pruning bound.
 //!
-//! [`run_batch`] is the engine behind `p2_bench::run_specs_batch`: every session's
-//! placement-evaluation jobs are spawned onto a single [`p2_par::Scheduler`]
+//! [`run_batch`] is the engine behind `p2_bench::run_specs_batch`. It is a
+//! scheduler only: each session owns or borrows its search tables exactly
+//! as it would running alone. Every session's placement-evaluation jobs are
+//! spawned onto a single [`p2_par::Scheduler`]
 //! (spec-major, in placement production order) and workers steal across spec
 //! boundaries, so a batch of N sessions respects one global thread budget
 //! instead of oversubscribing with N nested pools. Results are assembled in
@@ -24,19 +26,16 @@
 //! opt-in.
 
 use std::sync::Arc;
-use std::time::Instant;
 
-use p2_collectives::SharedTables;
 use p2_par::SchedulerOptions;
 use p2_placement::{MatrixControl, ParallelismMatrix};
-use p2_synthesis::{MemoBank, Program};
+use p2_synthesis::Program;
 
 use crate::config::P2Config;
 use crate::error::P2Error;
 use crate::observer::{RunObserver, SharedBoundTree, SlotBoundObserver};
 use crate::pipeline::P2;
 use crate::result::{ExperimentResult, PlacementEvaluation};
-use crate::table_store::{TableSnapshot, TableStore, TableStoreStats};
 
 /// Options for [`run_batch`].
 #[derive(Debug, Clone, Copy, Default)]
@@ -50,11 +49,6 @@ pub struct BatchOptions {
     /// Off by default: the default batch is bit-identical to running every
     /// session on its own.
     pub share_bounds: bool,
-    /// Share one [`SharedTables`] interner across each sharing group instead
-    /// of one per sweep. Result-invisible (sharing is a cache), applied only
-    /// to sessions with [`P2Config::shared_intern`] set and no
-    /// externally-supplied tables of their own.
-    pub share_tables: bool,
     /// Steal-schedule seed forwarded to [`SchedulerOptions::seed`]: `0` is
     /// round-robin deque assignment, anything else a pseudo-random one.
     /// Results are identical for every value — the knob exists so tests can
@@ -69,15 +63,6 @@ impl BatchOptions {
             threads,
             ..Self::default()
         }
-    }
-
-    /// Returns the options with both cross-spec sharing knobs
-    /// ([`BatchOptions::share_bounds`] and [`BatchOptions::share_tables`])
-    /// enabled.
-    pub fn sharing(mut self) -> Self {
-        self.share_bounds = true;
-        self.share_tables = true;
-        self
     }
 }
 
@@ -103,12 +88,6 @@ pub struct BatchOutcome {
     /// Highest number of jobs observed running simultaneously — never more
     /// than `threads`, whatever the batch size (the oversubscription guard).
     pub peak_in_flight: usize,
-    /// Per group: the cross-run table-store telemetry, `Some` when
-    /// [`BatchOptions::share_tables`] was on and the group's representative
-    /// session carried a [`P2Config::table_store_dir`]. The group loads one
-    /// snapshot into its shared tables before any job is spawned and saves
-    /// the merged tables once every member has finished.
-    pub table_stores: Vec<Option<TableStoreStats>>,
 }
 
 /// Two sessions share bounds only if their predicted-time domains are
@@ -190,7 +169,9 @@ impl RunObserver for BatchMemberObserver<'_> {
 /// Runs every session on one work-stealing pool and returns their results in
 /// input order, bit-identical — for any [`BatchOptions::threads`] and any
 /// [`BatchOptions::steal_seed`] — to running the sessions one after another
-/// (with sharing off; see the module docs for what bound sharing changes).
+/// (with [`BatchOptions::share_bounds`] off; see the module docs for what
+/// bound sharing changes). The sessions are spawned as given: the batch
+/// shares the pool, never search tables.
 ///
 /// `observer` receives every session's events; the `index` passed to its
 /// hooks is the placement index *within* that session, exactly as in
@@ -238,69 +219,6 @@ pub fn run_batch(
         Vec::new()
     };
 
-    // Cross-spec interning tables: one per group, attached to sessions that
-    // intern and do not already carry external tables.
-    let tables: Vec<Arc<SharedTables>> = if options.share_tables {
-        (0..groups).map(|_| Arc::new(SharedTables::new())).collect()
-    } else {
-        Vec::new()
-    };
-    // Cross-run persistence: when tables are shared and a group's
-    // representative opts into a table store, the group loads one snapshot
-    // into its shared tables and a group-wide memo bank before any job is
-    // spawned, and saves the merged tables once every member has finished.
-    // Member sessions hand persistence to the group (external tables and an
-    // external bank deactivate their per-session store), so nothing is
-    // written twice.
-    let mut group_stores: Vec<Option<(TableStore, p2_hash::Fingerprint, TableStoreStats)>> =
-        (0..groups).map(|_| None).collect();
-    let banks: Vec<Option<Arc<MemoBank>>> = (0..groups)
-        .map(|g| {
-            if !options.share_tables {
-                return None;
-            }
-            let representative = sessions[representatives[g]].config();
-            let dir = representative.table_store_dir.as_ref()?;
-            let bank = Arc::new(MemoBank::new());
-            let store = TableStore::new(dir);
-            let key = representative.table_key();
-            let mut stats = TableStoreStats {
-                table_key: format!("{key}"),
-                ..TableStoreStats::default()
-            };
-            let started = Instant::now();
-            if let Some(snapshot) = store.load(key) {
-                stats.loaded = true;
-                snapshot.install(Some(&tables[g]), &bank, &mut stats);
-            }
-            stats.load_micros = started.elapsed().as_micros() as u64;
-            group_stores[g] = Some((store, key, stats));
-            Some(bank)
-        })
-        .collect();
-    let mut attached: Vec<bool> = vec![false; sessions.len()];
-    let prepared: Vec<P2> = sessions
-        .iter()
-        .enumerate()
-        .map(|(i, session)| {
-            let config = session.config();
-            if options.share_tables && config.shared_intern && config.shared_tables.is_none() {
-                attached[i] = true;
-                let mut member = session
-                    .clone()
-                    .with_shared_tables(Arc::clone(&tables[group_of[i]]));
-                if config.shared_memo.is_none() {
-                    if let Some(bank) = &banks[group_of[i]] {
-                        member = member.with_shared_memo(Arc::clone(bank));
-                    }
-                }
-                member
-            } else {
-                session.clone()
-            }
-        })
-        .collect();
-
     let observers: Vec<BatchMemberObserver<'_>> = (0..sessions.len())
         .map(|i| BatchMemberObserver {
             user: observer,
@@ -314,14 +232,14 @@ pub fn run_batch(
         threads: options.threads,
         seed: options.steal_seed,
     };
-    let (mut results, threads, steals, peak_in_flight) =
+    let (results, threads, steals, peak_in_flight) =
         p2_par::scope_with(scheduler_options, |scheduler| {
             // Spawn every session's sweep before joining any of them: jobs of
             // all specs coexist in the deques and workers steal across spec
             // boundaries, while each shared-bound slot only ever waits on
             // strictly earlier spawns.
-            let mut pending = Vec::with_capacity(prepared.len());
-            for (session, member) in prepared.iter().zip(&observers) {
+            let mut pending = Vec::with_capacity(sessions.len());
+            for (session, member) in sessions.iter().zip(&observers) {
                 pending.push(session.spawn_sweep(scheduler, member)?);
             }
             let mut results = Vec::with_capacity(pending.len());
@@ -336,41 +254,11 @@ pub fn run_batch(
             ))
         })?;
 
-    // Stamp the final cross-spec interner sizes: a set union, deterministic
-    // once every sharing session has finished.
-    for (i, result) in results.iter_mut().enumerate() {
-        if attached[i] {
-            result.shared_unique_device_states = Some(tables[group_of[i]].num_states());
-        }
-    }
-
     let bounds: Vec<Option<f64>> = if options.share_bounds {
         trees.iter().map(|tree| tree.bound()).collect()
     } else {
         vec![None; groups]
     };
-
-    // Snapshot each persisting group's merged tables — final and
-    // deterministic now that every member has joined. A failed save is
-    // telemetry, not an error.
-    let table_stores: Vec<Option<TableStoreStats>> = group_stores
-        .into_iter()
-        .enumerate()
-        .map(|(g, slot)| {
-            let (store, key, mut stats) = slot?;
-            let bank = banks[g].as_ref().expect("group store implies a bank");
-            let started = Instant::now();
-            let snapshot = TableSnapshot::capture(Some(&tables[g]), bank);
-            stats.saved_states = snapshot.states.len();
-            stats.saved_apply_entries = snapshot.apply.len();
-            stats.saved_memo_slabs = snapshot.memo.len();
-            stats.saved = !snapshot.is_empty() && store.save(key, &snapshot).is_ok();
-            stats.save_micros = started.elapsed().as_micros() as u64;
-            stats.seeded_searches = bank.seeded_searches();
-            stats.seeded_entries = bank.seeded_entries();
-            Some(stats)
-        })
-        .collect();
 
     Ok(BatchOutcome {
         results,
@@ -380,7 +268,6 @@ pub fn run_batch(
         threads,
         steals,
         peak_in_flight,
-        table_stores,
     })
 }
 
@@ -437,50 +324,6 @@ mod tests {
                 assert_eq!(pa.measured_seconds, pb.measured_seconds);
             }
         }
-    }
-
-    #[test]
-    fn sharing_groups_persist_and_warm_start_their_tables() {
-        let dir = std::env::temp_dir().join(format!(
-            "p2-batch-store-test-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let make_sessions = || {
-            [session(vec![8, 4], vec![0]), session(vec![16, 2], vec![1])].map(|s| {
-                let mut config = s.config().clone();
-                config.table_store_dir = Some(dir.clone());
-                P2::new(config).unwrap()
-            })
-        };
-        let options = BatchOptions::with_threads(2).sharing();
-        let cold = run_batch(&make_sessions(), &options, &()).unwrap();
-        assert_eq!(cold.groups, 1);
-        let cold_stats = cold.table_stores[0].as_ref().unwrap();
-        assert!(!cold_stats.loaded);
-        assert!(cold_stats.saved);
-        assert!(cold_stats.saved_states > 0);
-        // Members left persistence to the group: no per-session store ran.
-        assert!(cold.results.iter().all(|r| r.table_store.is_none()));
-        let warm = run_batch(&make_sessions(), &options, &()).unwrap();
-        let warm_stats = warm.table_stores[0].as_ref().unwrap();
-        assert!(warm_stats.loaded);
-        assert_eq!(warm_stats.table_key, cold_stats.table_key);
-        assert_eq!(warm_stats.warm_states, cold_stats.saved_states);
-        assert!(warm_stats.seeded_searches > 0);
-        for (a, b) in cold.results.iter().zip(&warm.results) {
-            for (pa, pb) in a.placements.iter().zip(&b.placements) {
-                assert_eq!(pa.matrix, pb.matrix);
-                assert_eq!(pa.programs_retained, pb.programs_retained);
-                for (qa, qb) in pa.programs.iter().zip(&pb.programs) {
-                    assert_eq!(qa.signature(), qb.signature());
-                    assert_eq!(qa.predicted_seconds, qb.predicted_seconds);
-                    assert_eq!(qa.measured_seconds, qb.measured_seconds);
-                }
-            }
-        }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

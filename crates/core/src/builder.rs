@@ -3,7 +3,6 @@
 
 use std::sync::Arc;
 
-use p2_collectives::SharedTables;
 use p2_cost::{CostModel, CostModelKind, NcclAlgo};
 use p2_synthesis::HierarchyKind;
 use p2_topology::SystemTopology;
@@ -40,81 +39,26 @@ use crate::result::ExperimentResult;
 /// ```
 #[derive(Debug, Clone)]
 pub struct P2Builder {
-    system: SystemTopology,
-    parallelism_axes: Vec<usize>,
-    reduction_axes: Vec<usize>,
-    algo: Option<NcclAlgo>,
-    bytes_per_device: Option<f64>,
-    max_program_size: Option<usize>,
-    hierarchy_kind: Option<HierarchyKind>,
-    noise_fraction: Option<f64>,
-    seed: Option<u64>,
-    repeats: Option<usize>,
-    threads: Option<usize>,
-    keep_top: Option<usize>,
-    prune_slack: Option<f64>,
-    cost_model: Option<Arc<dyn CostModel>>,
+    config: P2Config,
     cost_model_kind: Option<CostModelKind>,
-    cost_cache: Option<bool>,
-    shared_intern: Option<bool>,
-    shared_tables: Option<Arc<SharedTables>>,
-    table_store_dir: Option<std::path::PathBuf>,
     mode: RunMode,
 }
 
 impl P2Builder {
     /// Starts a builder for `system` with every setting at the paper default.
     pub(crate) fn new(system: SystemTopology) -> Self {
-        P2Builder {
-            system,
-            parallelism_axes: Vec::new(),
-            reduction_axes: Vec::new(),
-            algo: None,
-            bytes_per_device: None,
-            max_program_size: None,
-            hierarchy_kind: None,
-            noise_fraction: None,
-            seed: None,
-            repeats: None,
-            threads: None,
-            keep_top: None,
-            prune_slack: None,
-            cost_model: None,
-            cost_model_kind: None,
-            cost_cache: None,
-            shared_intern: None,
-            shared_tables: None,
-            table_store_dir: None,
-            mode: RunMode::Measure,
-        }
+        P2Builder::from_config(P2Config::new(system, Vec::new(), Vec::new()))
     }
 
     /// Starts a builder preloaded from an existing configuration — the
     /// migration path for code that still assembles a [`P2Config`] by hand.
-    /// Every field of `config` becomes an explicit override, so
+    /// Every field of `config` carries over, so
     /// `P2Builder::from_config(c).build()` validates exactly `c`.
     pub fn from_config(config: P2Config) -> Self {
         P2Builder {
-            parallelism_axes: config.parallelism_axes,
-            reduction_axes: config.reduction_axes,
-            algo: Some(config.algo),
-            bytes_per_device: Some(config.bytes_per_device),
-            max_program_size: Some(config.max_program_size),
-            hierarchy_kind: Some(config.hierarchy_kind),
-            noise_fraction: Some(config.noise_fraction),
-            seed: Some(config.seed),
-            repeats: Some(config.repeats),
-            threads: Some(config.threads),
-            keep_top: config.keep_top,
-            prune_slack: Some(config.prune_slack),
-            cost_model: config.cost_model,
+            config,
             cost_model_kind: None,
-            cost_cache: Some(config.cost_cache),
-            shared_intern: Some(config.shared_intern),
-            shared_tables: config.shared_tables,
-            table_store_dir: config.table_store_dir,
             mode: RunMode::Measure,
-            system: config.system,
         }
     }
 
@@ -122,19 +66,19 @@ impl P2Builder {
     /// and 4 parameter shards). Their product must equal the system's device
     /// count; checked at [`build`](P2Builder::build).
     pub fn parallelism_axes(mut self, axes: impl IntoIterator<Item = usize>) -> Self {
-        self.parallelism_axes = axes.into_iter().collect();
+        self.config.parallelism_axes = axes.into_iter().collect();
         self
     }
 
     /// Sets the axes to reduce over, as indices into the parallelism axes.
     pub fn reduction_axes(mut self, axes: impl IntoIterator<Item = usize>) -> Self {
-        self.reduction_axes = axes.into_iter().collect();
+        self.config.reduction_axes = axes.into_iter().collect();
         self
     }
 
     /// Sets the NCCL algorithm used for every collective call.
     pub fn algo(mut self, algo: NcclAlgo) -> Self {
-        self.algo = Some(algo);
+        self.config.algo = algo;
         self
     }
 
@@ -142,45 +86,45 @@ impl P2Builder {
     /// `2^29 × nodes` float32 elements, where "nodes" is the cardinality of
     /// the system's outermost hierarchy level.
     pub fn bytes_per_device(mut self, bytes: f64) -> Self {
-        self.bytes_per_device = Some(bytes);
+        self.config.bytes_per_device = bytes;
         self
     }
 
     /// Sets the program-size limit of the synthesis search.
     pub fn max_program_size(mut self, size: usize) -> Self {
-        self.max_program_size = Some(size);
+        self.config.max_program_size = size;
         self
     }
 
     /// Sets the synthesis hierarchy kind (the paper uses
     /// [`HierarchyKind::ReductionAxes`]).
     pub fn hierarchy_kind(mut self, kind: HierarchyKind) -> Self {
-        self.hierarchy_kind = Some(kind);
+        self.config.hierarchy_kind = kind;
         self
     }
 
     /// Sets the measurement noise fraction of the execution substrate.
     pub fn noise(mut self, noise_fraction: f64) -> Self {
-        self.noise_fraction = Some(noise_fraction);
+        self.config.noise_fraction = noise_fraction;
         self
     }
 
     /// Sets the seed of the execution substrate's noise generator.
     pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = Some(seed);
+        self.config.seed = seed;
         self
     }
 
     /// Sets the number of simulated runs averaged per measurement.
     pub fn repeats(mut self, repeats: usize) -> Self {
-        self.repeats = Some(repeats);
+        self.config.repeats = repeats;
         self
     }
 
     /// Sets the worker-thread count for the placement sweep (`0` = all cores,
     /// `1` = serial). Results are bit-identical for any value.
     pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads);
+        self.config.threads = threads;
         self
     }
 
@@ -188,13 +132,13 @@ impl P2Builder {
     /// enables cost-bound pruning of the program stream (see
     /// [`P2Config::keep_top`]).
     pub fn keep_top(mut self, keep_top: usize) -> Self {
-        self.keep_top = Some(keep_top);
+        self.config.keep_top = Some(keep_top);
         self
     }
 
     /// Sets the cost-bound pruning slack (see [`P2Config::prune_slack`]).
     pub fn prune_slack(mut self, prune_slack: f64) -> Self {
-        self.prune_slack = Some(prune_slack);
+        self.config.prune_slack = prune_slack;
         self
     }
 
@@ -202,7 +146,7 @@ impl P2Builder {
     /// [`P2Config::cost_model`]). Takes precedence over
     /// [`cost_model_kind`](P2Builder::cost_model_kind).
     pub fn cost_model(mut self, model: Arc<dyn CostModel>) -> Self {
-        self.cost_model = Some(model);
+        self.config.cost_model = Some(model);
         self
     }
 
@@ -218,22 +162,14 @@ impl P2Builder {
 
     /// Sets [`P2Config::cost_cache`].
     pub fn cost_cache(mut self, cost_cache: bool) -> Self {
-        self.cost_cache = Some(cost_cache);
+        self.config.cost_cache = cost_cache;
         self
     }
 
     /// Enables or disables the sweep-wide shared interning tables (see
     /// [`P2Config::shared_intern`]).
     pub fn shared_intern(mut self, shared_intern: bool) -> Self {
-        self.shared_intern = Some(shared_intern);
-        self
-    }
-
-    /// Supplies externally-owned interning tables, extending sharing across
-    /// every session holding the same tables (see
-    /// [`P2Config::shared_tables`]).
-    pub fn shared_tables(mut self, tables: Arc<SharedTables>) -> Self {
-        self.shared_tables = Some(tables);
+        self.config.shared_intern = shared_intern;
         self
     }
 
@@ -242,7 +178,7 @@ impl P2Builder {
     /// [`P2Config::table_key`](crate::P2Config::table_key) and writes its
     /// final tables back (see [`P2Config::table_store_dir`]).
     pub fn table_store_dir(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
-        self.table_store_dir = Some(dir.into());
+        self.config.table_store_dir = Some(dir.into());
         self
     }
 
@@ -268,54 +204,9 @@ impl P2Builder {
                     .into(),
             });
         }
-        let mut config = P2Config::new(self.system, self.parallelism_axes, self.reduction_axes);
-        if let Some(algo) = self.algo {
-            config.algo = algo;
-        }
-        if let Some(bytes) = self.bytes_per_device {
-            config.bytes_per_device = bytes;
-        }
-        if let Some(size) = self.max_program_size {
-            config.max_program_size = size;
-        }
-        if let Some(kind) = self.hierarchy_kind {
-            config.hierarchy_kind = kind;
-        }
-        if let Some(noise) = self.noise_fraction {
-            config.noise_fraction = noise;
-        }
-        if let Some(seed) = self.seed {
-            config.seed = seed;
-        }
-        if let Some(repeats) = self.repeats {
-            config.repeats = repeats;
-        }
-        if let Some(threads) = self.threads {
-            config.threads = threads;
-        }
-        if self.keep_top.is_some() {
-            config.keep_top = self.keep_top;
-        }
-        if let Some(slack) = self.prune_slack {
-            config.prune_slack = slack;
-        }
-        if let Some(cache) = self.cost_cache {
-            config.cost_cache = cache;
-        }
-        if let Some(shared) = self.shared_intern {
-            config.shared_intern = shared;
-        }
-        if let Some(tables) = self.shared_tables {
-            config.shared_tables = Some(tables);
-        }
-        if let Some(dir) = self.table_store_dir {
-            config.table_store_dir = Some(dir);
-        }
-        if let Some(model) = self.cost_model {
-            config.cost_model = Some(model);
-        } else if let Some(kind) = self.cost_model_kind {
-            let model = config.make_cost_model(kind)?;
-            config.cost_model = Some(model);
+        let mut config = self.config;
+        if let (None, Some(kind)) = (&config.cost_model, self.cost_model_kind) {
+            config.cost_model = Some(config.make_cost_model(kind)?);
         }
         Ok(P2::new(config)?.with_mode(self.mode))
     }
@@ -397,7 +288,12 @@ mod tests {
 
     #[test]
     fn from_config_round_trips_every_field() {
-        let config = P2Config::new(presets::v100_system(2), vec![4, 4], vec![1])
+        let model = P2Config::new(presets::v100_system(2), vec![4, 4], vec![1])
+            .make_cost_model(CostModelKind::LogGp)
+            .unwrap();
+        let tables = Arc::new(p2_collectives::SharedTables::new());
+        let bank = Arc::new(p2_synthesis::MemoBank::new());
+        let mut config = P2Config::new(presets::v100_system(2), vec![4, 4], vec![1])
             .with_algo(NcclAlgo::Tree)
             .with_bytes_per_device(2.0e8)
             .with_max_program_size(4)
@@ -408,7 +304,11 @@ mod tests {
             .with_threads(3)
             .with_keep_top(6)
             .with_prune_slack(0.25)
-            .with_shared_intern(false);
+            .with_cost_model(Arc::clone(&model))
+            .with_cost_cache(false)
+            .with_shared_intern(false)
+            .with_table_store_dir("snapshots");
+        config.shared_tables = Some((Arc::clone(&tables), Arc::clone(&bank)));
         let rebuilt = P2Builder::from_config(config.clone()).build().unwrap();
         let r = rebuilt.config();
         assert_eq!(r.system.name(), config.system.name());
@@ -424,7 +324,13 @@ mod tests {
         assert_eq!(r.threads, config.threads);
         assert_eq!(r.keep_top, config.keep_top);
         assert_eq!(r.prune_slack, config.prune_slack);
+        assert!(Arc::ptr_eq(r.cost_model.as_ref().unwrap(), &model));
+        assert_eq!(r.cost_cache, config.cost_cache);
         assert_eq!(r.shared_intern, config.shared_intern);
+        let (r_tables, r_bank) = r.shared_tables.as_ref().expect("external pair kept");
+        assert!(Arc::ptr_eq(r_tables, &tables));
+        assert!(Arc::ptr_eq(r_bank, &bank));
+        assert_eq!(r.table_store_dir, config.table_store_dir);
         assert_eq!(rebuilt.mode(), RunMode::Measure);
     }
 

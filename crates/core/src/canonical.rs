@@ -26,8 +26,9 @@
 //! * **`cost_cache`** — the pipeline predicts each distinct step once
 //!   whatever its value, and the step-cost cache keys on the exact step, so
 //!   neither path changes a prediction.
-//! * **`shared_intern` / `shared_tables`** — table sharing is
-//!   result-invisible by the PR 6/7 determinism pins.
+//! * **`shared_intern` / `shared_tables` / `table_store_dir`** — the
+//!   search tables are a cache: sharing, borrowing or warm-starting them is
+//!   result-invisible by the determinism pins.
 //!
 //! Axis *order* is *not* normalized away: `parallelism_axes = [8, 4]` and
 //! `[4, 8]` are different experiments, and `reduction_axes` order feeds the

@@ -1,9 +1,10 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
+use p2_collectives::SharedTables;
 use p2_cost::{AlphaBetaModel, CalibratedModel, CostModel, CostModelKind, LogGpModel, NcclAlgo};
 use p2_exec::{ExecConfig, Executor};
-use p2_synthesis::HierarchyKind;
+use p2_synthesis::{HierarchyKind, MemoBank};
 use p2_topology::SystemTopology;
 
 use crate::error::P2Error;
@@ -96,28 +97,19 @@ pub struct P2Config {
     /// deterministic statistic are bit-identical for any worker-thread count,
     /// with shared or private tables; defaults to `true`.
     pub shared_intern: bool,
-    /// Externally-supplied interning tables, extending
-    /// [`P2Config::shared_intern`]'s sweep-wide sharing across every session
-    /// holding the same tables (the batch scheduler's cross-spec sharing).
-    /// `None` — the default — lets the sweep build its own tables when
-    /// `shared_intern` is set. When `Some`, the session uses these tables
-    /// regardless of `shared_intern` and reports
-    /// `shared_unique_device_states` as `None` (the final size belongs to
-    /// whoever owns the tables). Set via
+    /// Externally owned search tables: the interning tables and the
+    /// suffix-memo bank of one table key, shared by every session holding
+    /// the same pair (the planner keeps one pair per
+    /// [`P2Config::table_key`]). `None` — the default — lets the sweep build
+    /// its own tables when `shared_intern` is set. When `Some`, the session
+    /// uses the pair regardless of `shared_intern`, never persists it, and
+    /// reports `shared_unique_device_states` as `None` (the final size
+    /// belongs to the owner). Result-invisible. Set via
     /// [`P2::with_shared_tables`](crate::P2::with_shared_tables).
-    pub shared_tables: Option<Arc<p2_collectives::SharedTables>>,
-    /// Externally-supplied suffix-memo bank, the [`P2Config::shared_tables`]
-    /// counterpart for the emission engine's completion-count memos: searches
-    /// over a context already solved by any session holding the same bank
-    /// start from a filled memo. Result-invisible — memo values are
-    /// deterministic per context — so sharing never changes programs or
-    /// orderings, only the warm-start counters. `None` (the default) gives a
-    /// sweep its own bank only when a table store is attached. Set via
-    /// [`P2::with_shared_memo`](crate::P2::with_shared_memo).
-    pub shared_memo: Option<Arc<p2_synthesis::MemoBank>>,
+    pub shared_tables: Option<(Arc<SharedTables>, Arc<MemoBank>)>,
     /// Directory of cross-run table snapshots (see
-    /// [`TableStore`](crate::TableStore)). When set — and the session carries
-    /// no external tables or memo bank of its own — the sweep loads the
+    /// [`TableStore`](crate::TableStore)). When set — and the session does
+    /// not borrow [`P2Config::shared_tables`] — the sweep loads the
     /// snapshot addressed by [`P2Config::table_key`] before spawning (or
     /// starts empty on a miss) and writes its final tables back after
     /// collecting. Warm starts are result-invisible; only
@@ -169,7 +161,6 @@ impl P2Config {
             cost_cache: true,
             shared_intern: true,
             shared_tables: None,
-            shared_memo: None,
             table_store_dir: None,
         }
     }

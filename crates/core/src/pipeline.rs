@@ -19,7 +19,7 @@ use crate::config::P2Config;
 use crate::error::P2Error;
 use crate::observer::RunObserver;
 use crate::result::{ExperimentResult, PlacementEvaluation, ProgramEvaluation};
-use crate::table_store::{TableSnapshot, TableStore, TableStoreStats};
+use crate::table_store::{TableStore, TableStoreStats};
 
 /// How [`P2::run`] drives the synthesized programs through prediction and
 /// measurement.
@@ -276,53 +276,32 @@ impl P2 {
         }
         let measure_programs = matches!(self.mode, RunMode::Measure);
         let model = self.resolve_model()?;
-        // One set of hash-consing tables for the whole sweep: every placement
+        // One set of search tables for the whole sweep: every placement
         // reduces over the same device-state universe, so workers reuse each
-        // other's interned states and memoized collective applications. A
-        // batch driver may supply the tables instead, extending the sharing
-        // across every spec of a group.
-        let (shared, external_tables) = match &self.config.shared_tables {
-            Some(tables) => (Some(Arc::clone(tables)), true),
-            None => (
-                self.config
+        // other's interned states and memoized collective applications. The
+        // session either borrows a pair, which its owner persists, or owns
+        // fresh tables (when `shared_intern` is set) plus, with a table
+        // store, a fresh memo bank that a snapshot warms before any job is
+        // spawned. Plain sweeps skip the bank: every placement of one sweep
+        // solves a distinct context, so there is nothing to share or keep.
+        let (shared, memo, store) = match &self.config.shared_tables {
+            Some((tables, bank)) => (Some(Arc::clone(tables)), Some(Arc::clone(bank)), None),
+            None => {
+                let tables = self
+                    .config
                     .shared_intern
-                    .then(|| Arc::new(SharedTables::new())),
-                false,
-            ),
-        };
-        // The suffix-memo bank: externally supplied (batch sharing), or
-        // created fresh when this session owns a table store that will
-        // persist it. Plain sweeps skip the bank — every placement of one
-        // sweep solves a distinct context, so within a run there is nothing
-        // to share and, without a store, nothing to keep.
-        let external_memo = self.config.shared_memo.is_some();
-        let store_active =
-            self.config.table_store_dir.is_some() && !external_tables && !external_memo;
-        let memo: Option<Arc<MemoBank>> = match &self.config.shared_memo {
-            Some(bank) => Some(Arc::clone(bank)),
-            None => store_active.then(|| Arc::new(MemoBank::new())),
-        };
-        // Load-or-empty: a snapshot under this session's table key warms the
-        // fresh tables and bank before any job is spawned; a missing or
-        // corrupt snapshot is a counted miss and the sweep starts cold.
-        let store = if store_active {
-            let dir = self.config.table_store_dir.clone().expect("store active");
-            let store = TableStore::new(dir);
-            let key = self.config.table_key();
-            let mut stats = TableStoreStats {
-                table_key: format!("{key}"),
-                ..TableStoreStats::default()
-            };
-            let started = Instant::now();
-            if let Some(snapshot) = store.load(key) {
-                stats.loaded = true;
-                let bank = memo.as_ref().expect("store implies a bank");
-                snapshot.install(shared.as_deref(), bank, &mut stats);
+                    .then(|| Arc::new(SharedTables::new()));
+                match &self.config.table_store_dir {
+                    Some(dir) => {
+                        let bank = Arc::new(MemoBank::new());
+                        let store = TableStore::new(dir);
+                        let key = self.config.table_key();
+                        let stats = store.warm(key, tables.as_deref(), &bank);
+                        (tables, Some(bank), Some((store, key, stats)))
+                    }
+                    None => (tables, None, None),
+                }
             }
-            stats.load_micros = started.elapsed().as_micros() as u64;
-            Some((store, key, stats))
-        } else {
-            None
         };
         let mut handles = Vec::new();
         self.for_each_placement(&mut |matrix: &ParallelismMatrix| {
@@ -348,7 +327,6 @@ impl P2 {
             session: self,
             handles,
             shared,
-            external_tables,
             memo,
             store,
         })
@@ -686,29 +664,20 @@ impl P2 {
         Ok(evaluation)
     }
 
-    /// Returns the session with its synthesis hash-consing tables replaced by
-    /// caller-supplied ones, extending state interning and collective-apply
-    /// memoization across every session sharing the `tables`.
+    /// Returns the session borrowing caller-owned search tables — the
+    /// interning tables and the suffix-memo bank of one table key —
+    /// extending state interning, collective-apply memoization and
+    /// completion-count memos across every session holding the same pair.
     ///
     /// Sharing is result-invisible — programs, predictions, measurements and
     /// the deterministic per-placement statistics are bit-identical — with one
-    /// reporting exception: a session running on external tables reports
+    /// reporting exception: a session running on borrowed tables reports
     /// [`ExperimentResult::shared_unique_device_states`] as `None`, because
-    /// the tables' *final* size is only known once every sharing session has
-    /// finished (mid-batch it would depend on the steal schedule). Batch
-    /// drivers fill the field in afterwards.
-    pub fn with_shared_tables(mut self, tables: Arc<SharedTables>) -> Self {
-        self.config.shared_tables = Some(tables);
-        self
-    }
-
-    /// Returns the session with its suffix-memo bank replaced by a
-    /// caller-supplied one, extending completion-count memoization across
-    /// every session sharing the bank (see [`P2Config::shared_memo`]).
-    /// Result-invisible, like [`P2::with_shared_tables`]; a session holding
-    /// an external bank leaves snapshot persistence to whoever owns it.
-    pub fn with_shared_memo(mut self, bank: Arc<MemoBank>) -> Self {
-        self.config.shared_memo = Some(bank);
+    /// the tables' final size belongs to their owner. The session never
+    /// persists borrowed tables, even with a
+    /// [`P2Config::table_store_dir`].
+    pub fn with_shared_tables(mut self, tables: Arc<SharedTables>, bank: Arc<MemoBank>) -> Self {
+        self.config.shared_tables = Some((tables, bank));
         self
     }
 }
@@ -723,7 +692,6 @@ pub struct PendingSweep<'env> {
     session: &'env P2,
     handles: Vec<JobHandle<Result<PlacementEvaluation, P2Error>>>,
     shared: Option<Arc<SharedTables>>,
-    external_tables: bool,
     memo: Option<Arc<MemoBank>>,
     store: Option<(TableStore, p2_hash::Fingerprint, TableStoreStats)>,
 }
@@ -751,7 +719,6 @@ impl<'env> PendingSweep<'env> {
             session,
             handles,
             shared,
-            external_tables,
             memo,
             store,
         } = self;
@@ -768,30 +735,17 @@ impl<'env> PendingSweep<'env> {
             reduction_axes: session.config.reduction_axes.clone(),
             placements,
             synthesis_time: total_synthesis,
-            // External tables are still growing while other sessions of the
-            // batch run; their final (deterministic, set-union) size is only
-            // known to the batch driver, which stamps it afterwards.
-            shared_unique_device_states: if external_tables {
-                None
-            } else {
-                shared.as_ref().map(|tables| tables.num_states())
+            shared_unique_device_states: match session.config.shared_tables {
+                Some(_) => None,
+                None => shared.as_ref().map(|tables| tables.num_states()),
             },
             table_store: None,
         };
         // Snapshot-after-run: the sweep has drained, so the tables and bank
-        // hold their final (deterministic) content. A failed save is
-        // telemetry, not an error — the results are already in hand.
+        // hold their final (deterministic) content.
         if let Some((store, key, mut stats)) = store {
             let bank = memo.as_ref().expect("store implies a bank");
-            let started = Instant::now();
-            let snapshot = TableSnapshot::capture(shared.as_deref(), bank);
-            stats.saved_states = snapshot.states.len();
-            stats.saved_apply_entries = snapshot.apply.len();
-            stats.saved_memo_slabs = snapshot.memo.len();
-            stats.saved = !snapshot.is_empty() && store.save(key, &snapshot).is_ok();
-            stats.save_micros = started.elapsed().as_micros() as u64;
-            stats.seeded_searches = bank.seeded_searches();
-            stats.seeded_entries = bank.seeded_entries();
+            store.persist(key, shared.as_deref(), bank, &mut stats);
             result.table_store = Some(stats);
         }
         if let RunMode::Shortlist(n) = session.mode {

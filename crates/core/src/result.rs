@@ -133,13 +133,16 @@ pub struct ExperimentResult {
     /// Total wall-clock synthesis time across placements.
     pub synthesis_time: Duration,
     /// Final size of the sweep-shared device-state interner, when the sweep
-    /// ran with shared tables (`None` with private per-placement interners).
+    /// owned shared tables (`None` with private per-placement interners or
+    /// borrowed [`P2Config::shared_tables`](crate::P2Config::shared_tables)).
     /// Deterministic for any worker count: it is the size of the set union of
     /// the per-placement universes.
     pub shared_unique_device_states: Option<usize>,
     /// Telemetry of the session's cross-run table-store interaction (`None`
     /// when the session ran without a [`TableStore`](crate::TableStore) of
-    /// its own — including batch members whose sharing group owns the store).
+    /// its own — including sessions on borrowed
+    /// [`P2Config::shared_tables`](crate::P2Config::shared_tables), whose
+    /// owner persists them).
     pub table_store: Option<crate::TableStoreStats>,
 }
 

@@ -27,6 +27,7 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use std::time::Instant;
 
 use p2_collectives::{SemanticsError, SharedTables, State};
 use p2_hash::Fingerprint;
@@ -53,7 +54,7 @@ pub struct TableSnapshot {
     pub memo: Vec<(String, MemoSlab)>,
 }
 
-/// Counters describing one session's (or sharing group's) interaction with
+/// Counters describing one session's or planner table key's interaction with
 /// the table store: what was loaded, how much of it warmed the run, and what
 /// was saved back.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -296,9 +297,10 @@ fn decode_counts(text: &str) -> Option<Vec<u64>> {
 
 /// A directory of table snapshots, one `<table_key>.json` per key.
 ///
-/// Loads never fail — anything unreadable is a miss. Saves report their I/O
-/// errors so callers can log them, but the pipeline treats a failed save as
-/// telemetry too (the run's results are already in hand).
+/// [`TableStore::warm`] and [`TableStore::persist`] are the whole protocol:
+/// load-install-time before a run, capture-save-time after it. Neither
+/// fails — an unreadable snapshot is a miss and a failed save is telemetry
+/// (the run's results are already in hand).
 #[derive(Debug, Clone)]
 pub struct TableStore {
     dir: PathBuf,
@@ -321,20 +323,61 @@ impl TableStore {
         self.dir.join(format!("{key}.json"))
     }
 
+    /// Warms empty `tables` (`None` for a sweep interning privately) and
+    /// `bank` from the snapshot stored under `key`, returning the load
+    /// telemetry. A missing, unreadable, version-skewed or corrupt snapshot
+    /// is a counted miss that leaves them cold.
+    pub fn warm(
+        &self,
+        key: Fingerprint,
+        tables: Option<&SharedTables>,
+        bank: &MemoBank,
+    ) -> TableStoreStats {
+        let mut stats = TableStoreStats {
+            table_key: format!("{key}"),
+            ..TableStoreStats::default()
+        };
+        let started = Instant::now();
+        if let Some(snapshot) = self.load(key) {
+            stats.loaded = true;
+            snapshot.install(tables, bank, &mut stats);
+        }
+        stats.load_micros = started.elapsed().as_micros() as u64;
+        stats
+    }
+
+    /// Captures `tables` and `bank` after a run and saves them under `key`,
+    /// recording the save and the bank's seeded-search counters into
+    /// `stats`. An empty capture is not written; a failed write leaves
+    /// `stats.saved` false.
+    pub fn persist(
+        &self,
+        key: Fingerprint,
+        tables: Option<&SharedTables>,
+        bank: &MemoBank,
+        stats: &mut TableStoreStats,
+    ) {
+        let started = Instant::now();
+        let snapshot = TableSnapshot::capture(tables, bank);
+        stats.saved_states = snapshot.states.len();
+        stats.saved_apply_entries = snapshot.apply.len();
+        stats.saved_memo_slabs = snapshot.memo.len();
+        stats.saved = !snapshot.is_empty() && self.save(key, &snapshot).is_ok();
+        stats.save_micros = started.elapsed().as_micros() as u64;
+        stats.seeded_searches = bank.seeded_searches();
+        stats.seeded_entries = bank.seeded_entries();
+    }
+
     /// Loads and validates the snapshot stored under `key`. Missing files,
     /// unreadable files, version skew and key mismatches all return `None`.
-    pub fn load(&self, key: Fingerprint) -> Option<TableSnapshot> {
+    fn load(&self, key: Fingerprint) -> Option<TableSnapshot> {
         let text = std::fs::read_to_string(self.path_for(key)).ok()?;
         TableSnapshot::from_json_str(&text, key)
     }
 
     /// Atomically writes `snapshot` under `key`, creating the store
     /// directory if needed.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the I/O error of the directory creation, write or rename.
-    pub fn save(&self, key: Fingerprint, snapshot: &TableSnapshot) -> std::io::Result<()> {
+    fn save(&self, key: Fingerprint, snapshot: &TableSnapshot) -> std::io::Result<()> {
         std::fs::create_dir_all(&self.dir)?;
         p2_json::write_atomically(&self.path_for(key), &snapshot.to_json_string(key))
     }
@@ -345,7 +388,7 @@ mod tests {
     use super::*;
     use p2_collectives::Collective;
 
-    fn sample_snapshot() -> TableSnapshot {
+    fn sample_tables() -> (SharedTables, MemoBank) {
         let tables = SharedTables::new();
         let (a, _) = tables.intern(State::initial(4, 0));
         let (b, _) = tables.intern(State::initial(4, 1));
@@ -362,6 +405,11 @@ mod tests {
                 counts: vec![1, MEMO_UNKNOWN, u64::MAX - 1, 0, 7, MEMO_UNKNOWN].into(),
             },
         );
+        (tables, bank)
+    }
+
+    fn sample_snapshot() -> TableSnapshot {
+        let (tables, bank) = sample_tables();
         TableSnapshot::capture(Some(&tables), &bank)
     }
 
@@ -405,30 +453,42 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let store = TableStore::new(&dir);
         let key = Fingerprint::of_bytes(b"store-key");
-        // Missing directory, missing file: a miss, not an error.
-        assert!(store.load(key).is_none());
-        let snapshot = sample_snapshot();
-        store.save(key, &snapshot).expect("save");
-        let back = store.load(key).expect("hit");
+        // Missing directory, missing file: a miss that leaves the tables
+        // cold, not an error; an empty capture is not written.
+        let (tables, bank) = (SharedTables::new(), MemoBank::new());
+        let mut stats = store.warm(key, Some(&tables), &bank);
+        assert!(!stats.loaded);
+        assert_eq!(stats.table_key, format!("{key}"));
+        store.persist(key, Some(&tables), &bank, &mut stats);
+        assert!(!stats.saved);
+        assert!(!store.path_for(key).exists());
+        // A populated pair persists; warming fresh tables from it reproduces
+        // ids and contents and fills the counters.
+        let (tables, bank) = sample_tables();
+        let snapshot = TableSnapshot::capture(Some(&tables), &bank);
+        let mut saved = TableStoreStats::default();
+        store.persist(key, Some(&tables), &bank, &mut saved);
+        assert!(saved.saved);
+        assert_eq!(saved.saved_states, snapshot.states.len());
+        assert_eq!(saved.saved_apply_entries, snapshot.apply.len());
+        assert_eq!(saved.saved_memo_slabs, 1);
+        let (tables, bank) = (SharedTables::new(), MemoBank::new());
+        let stats = store.warm(key, Some(&tables), &bank);
+        assert!(stats.loaded);
+        assert_eq!(stats.warm_states, snapshot.states.len());
+        assert_eq!(stats.warm_apply_entries, snapshot.apply.len());
+        assert_eq!(stats.warm_memo_slabs, 1);
+        assert_eq!(stats.warm_memo_entries, 4);
+        assert_eq!(tables.num_apply_entries(), snapshot.apply.len());
+        let back = TableSnapshot::capture(Some(&tables), &bank);
         assert_eq!(back.states, snapshot.states);
         assert_eq!(back.apply, snapshot.apply);
         assert_eq!(back.memo, snapshot.memo);
-        // Install into fresh tables reproduces ids and warms the counters.
-        let tables = SharedTables::new();
-        let bank = MemoBank::new();
-        let mut stats = TableStoreStats::default();
-        let (num_states, num_entries) = (snapshot.states.len(), snapshot.apply.len());
-        back.install(Some(&tables), &bank, &mut stats);
-        assert_eq!(stats.warm_states, num_states);
-        assert_eq!(stats.warm_apply_entries, num_entries);
-        assert_eq!(stats.warm_memo_slabs, 1);
-        assert_eq!(stats.warm_memo_entries, 4);
-        assert_eq!(tables.num_states(), num_states);
-        assert_eq!(tables.num_apply_entries(), num_entries);
-        assert_eq!(bank.len(), 1);
         // Torn/corrupt snapshot bytes under the key: a miss again.
         std::fs::write(store.path_for(key), "{\"schema\":").unwrap();
-        assert!(store.load(key).is_none());
+        let (tables, bank) = (SharedTables::new(), MemoBank::new());
+        assert!(!store.warm(key, Some(&tables), &bank).loaded);
+        assert_eq!((tables.num_states(), bank.len()), (0, 0));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

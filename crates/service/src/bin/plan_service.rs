@@ -379,6 +379,12 @@ fn smoke(args: &[String]) {
         let pong = send_line(&mut stream, r#"{"op":"ping"}"#);
         checks.push(("ping answers", pong.contains("\"pong\":true")));
 
+        let mistyped = send_line(&mut stream, &plan_a.replace("1e9", "\"1e9\""));
+        checks.push((
+            "mistyped field is a protocol error",
+            mistyped.contains("\"ok\":false") && mistyped.contains("\"kind\":\"protocol\""),
+        ));
+
         let cold = send_line(&mut stream, plan_a);
         checks.push((
             "first request synthesizes",

@@ -19,9 +19,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use p2_collectives::SharedTables;
-use p2_core::{
-    run_batch, BatchOptions, RunObserver, TableSnapshot, TableStore, TableStoreStats, P2,
-};
+use p2_core::{run_batch, BatchOptions, RunObserver, TableStore, TableStoreStats, P2};
 use p2_hash::{Fingerprint, FxHashMap};
 use p2_synthesis::MemoBank;
 
@@ -56,16 +54,14 @@ pub struct PlannerConfig {
     /// Maximum resident age of a cached plan; `None` means plans never
     /// expire. Forwarded to [`PlanStore::with_ttl`].
     pub store_ttl: Option<Duration>,
-    /// Keep one [`SharedTables`] across every batch, so later syntheses
-    /// reuse interned states and memoized collective applications from
-    /// earlier ones (result-invisible; pinned by the determinism suite).
-    pub warm_tables: bool,
-    /// Cross-run table-store directory. When set, the planner keeps one
-    /// [`SharedTables`] + [`MemoBank`] pair *per table key* (instead of the
-    /// single `warm_tables` interner), loads the key's snapshot the first
-    /// time a batch needs it, and saves the merged tables after every batch
-    /// that touched the key — so a restarted planner warm-starts from disk.
-    /// Result-invisible, like `warm_tables`.
+    /// Cross-run table-store directory. The planner always keeps one
+    /// [`SharedTables`] + [`MemoBank`] pair *per table key*, so later
+    /// syntheses of a family reuse the interned states, memoized collective
+    /// applications and suffix memos of earlier ones. When set, the planner
+    /// also loads the key's snapshot the first time a batch needs it and
+    /// saves the key's tables after every batch that touched it — so a
+    /// restarted planner warm-starts from disk. Result-invisible either way
+    /// (pinned by the determinism suite).
     pub tables_dir: Option<std::path::PathBuf>,
 }
 
@@ -80,7 +76,6 @@ impl Default for PlannerConfig {
             store_dir: None,
             store_max_bytes: None,
             store_ttl: None,
-            warm_tables: true,
             tables_dir: None,
         }
     }
@@ -269,16 +264,6 @@ struct Counters {
     warm_states: AtomicU64,
 }
 
-/// Per-table-key warm state of a planner with a cross-run table store: one
-/// [`SharedTables`] + [`MemoBank`] pair per key, snapshot-loaded on first
-/// use and saved after every batch that touched the key. Keying by table
-/// key keeps each snapshot pure (only that key's states), which is what the
-/// all-or-nothing preload contract requires.
-struct TableStoreState {
-    store: TableStore,
-    by_key: Mutex<FxHashMap<u128, WarmPair>>,
-}
-
 /// The shared interner/apply tables and memo bank warming one table key.
 type WarmPair = (Arc<SharedTables>, Arc<MemoBank>);
 
@@ -290,8 +275,12 @@ struct PlannerInner {
     queue_wake: Condvar,
     stats: Counters,
     shutdown: AtomicBool,
-    tables: Option<Arc<SharedTables>>,
-    table_store: Option<TableStoreState>,
+    /// One pair per table key. Keying by table key keeps each snapshot pure
+    /// (only that key's states), which is what the all-or-nothing preload
+    /// contract requires.
+    tables: Mutex<FxHashMap<u128, WarmPair>>,
+    /// Present only with [`PlannerConfig::tables_dir`].
+    table_store: Option<TableStore>,
     observer: Option<Arc<dyn RunObserver + Send + Sync>>,
 }
 
@@ -350,14 +339,7 @@ impl Planner {
         }
         .with_max_bytes(config.store_max_bytes)
         .with_ttl(config.store_ttl);
-        // A cross-run table store supersedes the in-process warm interner:
-        // its per-key tables *are* the warm tables, persisted on top.
-        let table_store = config.tables_dir.as_ref().map(|dir| TableStoreState {
-            store: TableStore::new(dir),
-            by_key: Mutex::new(FxHashMap::default()),
-        });
-        let tables =
-            (config.warm_tables && table_store.is_none()).then(|| Arc::new(SharedTables::new()));
+        let table_store = config.tables_dir.as_ref().map(TableStore::new);
         let inner = Arc::new(PlannerInner {
             config,
             store: Mutex::new(store),
@@ -366,7 +348,7 @@ impl Planner {
             queue_wake: Condvar::new(),
             stats: Counters::default(),
             shutdown: AtomicBool::new(false),
-            tables,
+            tables: Mutex::new(FxHashMap::default()),
             table_store,
             observer,
         });
@@ -562,16 +544,7 @@ fn worker_loop(inner: &Arc<PlannerInner>) {
         let mut jobs: Vec<(Queued, P2)> = Vec::with_capacity(batch.len());
         for queued in batch {
             match queued.request.session() {
-                Ok(session) => {
-                    let session = if let Some(table_store) = &inner.table_store {
-                        warm_session(inner, table_store, session)
-                    } else if let Some(tables) = &inner.tables {
-                        session.with_shared_tables(Arc::clone(tables))
-                    } else {
-                        session
-                    };
-                    jobs.push((queued, session));
-                }
+                Ok(session) => jobs.push((queued, warm_session(inner, session))),
                 Err(error) => finish(inner, &queued, Err(error.into())),
             }
         }
@@ -614,42 +587,39 @@ fn worker_loop(inner: &Arc<PlannerInner>) {
     }
 }
 
-/// Attaches the cross-run warm state for the session's table key: the key's
-/// shared tables and memo bank, snapshot-loaded from disk the first time
-/// the key is seen. Supplying both externally also deactivates the
-/// session's own per-run store, so the planner is the sole persister.
-fn warm_session(inner: &PlannerInner, state: &TableStoreState, session: P2) -> P2 {
+/// Lends the session the planner's tables and memo bank for its table key,
+/// created the first time the key is seen and then warmed from the table
+/// store, if any. Borrowed tables are never persisted by the session, so
+/// the planner is the sole persister.
+fn warm_session(inner: &PlannerInner, session: P2) -> P2 {
     let key = session.config().table_key();
-    let mut by_key = state.by_key.lock().expect("table store poisoned");
-    let (tables, bank) = by_key.entry(key.0).or_insert_with(|| {
+    let mut tables = inner.tables.lock().expect("tables poisoned");
+    let (tables, bank) = tables.entry(key.0).or_insert_with(|| {
         let tables = Arc::new(SharedTables::new());
         let bank = Arc::new(MemoBank::new());
-        let started = Instant::now();
-        if let Some(snapshot) = state.store.load(key) {
-            let mut stats = TableStoreStats::default();
-            snapshot.install(Some(&tables), &bank, &mut stats);
-            inner.stats.snapshot_loads.fetch_add(1, Ordering::Relaxed);
-            inner
-                .stats
+        if let Some(store) = &inner.table_store {
+            let stats = store.warm(key, Some(&tables), &bank);
+            let counters = &inner.stats;
+            counters
+                .snapshot_loads
+                .fetch_add(u64::from(stats.loaded), Ordering::Relaxed);
+            counters
                 .warm_states
                 .fetch_add(stats.warm_states as u64, Ordering::Relaxed);
+            counters
+                .snapshot_load_micros
+                .fetch_add(stats.load_micros, Ordering::Relaxed);
         }
-        inner
-            .stats
-            .snapshot_load_micros
-            .fetch_add(started.elapsed().as_micros() as u64, Ordering::Relaxed);
         (tables, bank)
     });
-    session
-        .with_shared_tables(Arc::clone(tables))
-        .with_shared_memo(Arc::clone(bank))
+    session.with_shared_tables(Arc::clone(tables), Arc::clone(bank))
 }
 
 /// Saves one snapshot per table key the finished batch touched. Failed or
 /// empty saves are skipped silently (the tables stay warm in memory); the
 /// batch's plans are already published either way.
 fn save_touched_snapshots(inner: &PlannerInner, jobs: &[(Queued, P2)]) {
-    let Some(table_store) = &inner.table_store else {
+    let Some(store) = &inner.table_store else {
         return;
     };
     let mut keys: Vec<Fingerprint> = jobs
@@ -658,20 +628,20 @@ fn save_touched_snapshots(inner: &PlannerInner, jobs: &[(Queued, P2)]) {
         .collect();
     keys.sort_by_key(|key| key.0);
     keys.dedup();
-    let by_key = table_store.by_key.lock().expect("table store poisoned");
+    let tables = inner.tables.lock().expect("tables poisoned");
     for key in keys {
-        let Some((tables, bank)) = by_key.get(&key.0) else {
+        let Some((key_tables, bank)) = tables.get(&key.0) else {
             continue;
         };
-        let started = Instant::now();
-        let snapshot = TableSnapshot::capture(Some(tables), bank);
-        if !snapshot.is_empty() && table_store.store.save(key, &snapshot).is_ok() {
-            inner.stats.snapshot_saves.fetch_add(1, Ordering::Relaxed);
-        }
-        inner
-            .stats
+        let mut stats = TableStoreStats::default();
+        store.persist(key, Some(key_tables), bank, &mut stats);
+        let counters = &inner.stats;
+        counters
+            .snapshot_saves
+            .fetch_add(u64::from(stats.saved), Ordering::Relaxed);
+        counters
             .snapshot_save_micros
-            .fetch_add(started.elapsed().as_micros() as u64, Ordering::Relaxed);
+            .fetch_add(stats.save_micros, Ordering::Relaxed);
     }
 }
 
@@ -754,6 +724,59 @@ mod tests {
         assert_eq!(warm.plan.fingerprint, cold.plan.fingerprint);
         assert_eq!(warm.plan.entries, cold.plan.entries);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Sums the suffix-memo entries every synthesized placement started from.
+    #[derive(Default)]
+    struct PreloadCounter(AtomicU64);
+
+    impl RunObserver for PreloadCounter {
+        fn on_placement_done(&self, _index: usize, evaluation: &p2_core::PlacementEvaluation) {
+            self.0
+                .fetch_add(evaluation.suffix_memo_preloaded as u64, Ordering::Relaxed);
+        }
+    }
+
+    #[test]
+    fn later_requests_of_a_family_start_from_warm_memos_without_a_tables_dir() {
+        let counter = Arc::new(PreloadCounter::default());
+        let config = PlannerConfig {
+            threads: 2,
+            ..PlannerConfig::default()
+        };
+        let planner = Planner::with_observer(config, counter.clone()).unwrap();
+        let request = |bytes: f64| {
+            PlanRequest::new(p2_topology::presets::a100_system(2), vec![8, 4], vec![0])
+                .with_bytes_per_device(bytes)
+                .with_repeats(2)
+        };
+        let first = planner.plan("family", request(1.0e9)).unwrap();
+        assert_eq!(first.source, PlanSource::Synthesized);
+        assert_eq!(counter.0.load(Ordering::Relaxed), 0, "nothing to warm from");
+        // Same table key, different plan fingerprint: a second synthesis.
+        let resized = request(2.0e9);
+        let second = planner.plan("family", resized.clone()).unwrap();
+        assert_eq!(second.source, PlanSource::Synthesized);
+        planner.shutdown();
+        assert!(
+            counter.0.load(Ordering::Relaxed) > 0,
+            "the second request must start from the first one's suffix memos"
+        );
+        // Warm tables change no bit: the plan equals a fresh one-thread run.
+        let session = resized.session().unwrap();
+        let fresh = P2::new(session.config().clone().with_threads(1))
+            .unwrap()
+            .with_mode(session.mode())
+            .run()
+            .unwrap();
+        let reference = Plan::from_result(resized.fingerprint(), &fresh, resized.top_k);
+        assert_eq!(second.plan.fingerprint, reference.fingerprint);
+        assert_eq!(second.plan.label, reference.label);
+        assert_eq!(second.plan.entries, reference.entries);
+        for (a, b) in second.plan.entries.iter().zip(&reference.entries) {
+            assert_eq!(a.predicted_seconds.to_bits(), b.predicted_seconds.to_bits());
+            assert_eq!(a.measured_seconds.to_bits(), b.measured_seconds.to_bits());
+        }
     }
 
     #[test]

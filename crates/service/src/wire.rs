@@ -22,8 +22,9 @@
 //! optional `oversubscription` ratio). Optional knobs mirror
 //! [`PlanRequest`]: `max_program_size`, `noise`, `seed`, `repeats`,
 //! `keep_top`, `prune_slack`, `top_k`, `shortlist` (with
-//! `"mode":"shortlist"`). The response carries the plan plus its request
-//! telemetry:
+//! `"mode":"shortlist"`). `null` leaves a knob unset; a knob of the wrong
+//! type is a `protocol` error naming it, never a fallback to its default.
+//! The response carries the plan plus its request telemetry:
 //!
 //! ```json
 //! {"ok":true,"source":"warm","fingerprint":"…32 hex…","latency_us":120,
@@ -60,39 +61,51 @@ pub enum WireRequest {
     },
 }
 
-fn get_usize(json: &Json, key: &str) -> Result<Option<usize>, ServiceError> {
+/// Reads an optional field through `read`. Absent and `null` are unset; a
+/// present value `read` rejects is a protocol error naming the field, never
+/// a silent fallback to the default (which would plan a different request).
+fn get_field<'a, T>(
+    json: &'a Json,
+    key: &str,
+    expected: &str,
+    read: impl Fn(&'a Json) -> Option<T>,
+) -> Result<Option<T>, ServiceError> {
     match json.get(key) {
         None | Some(Json::Null) => Ok(None),
-        Some(value) => value.as_u64().map(|v| Some(v as usize)).ok_or_else(|| {
-            ServiceError::Protocol(format!("`{key}` must be a non-negative integer"))
-        }),
+        Some(value) => read(value)
+            .map(Some)
+            .ok_or_else(|| ServiceError::Protocol(format!("`{key}` must be {expected}"))),
     }
+}
+
+fn get_u64(json: &Json, key: &str) -> Result<Option<u64>, ServiceError> {
+    get_field(json, key, "a non-negative integer", Json::as_u64)
+}
+
+fn get_usize(json: &Json, key: &str) -> Result<Option<usize>, ServiceError> {
+    Ok(get_u64(json, key)?.map(|v| v as usize))
+}
+
+fn get_f64(json: &Json, key: &str) -> Result<Option<f64>, ServiceError> {
+    get_field(json, key, "a number", Json::as_f64)
+}
+
+fn get_str<'a>(json: &'a Json, key: &str) -> Result<Option<&'a str>, ServiceError> {
+    get_field(json, key, "a string", Json::as_str)
 }
 
 fn get_list(json: &Json, key: &str) -> Result<Option<Vec<usize>>, ServiceError> {
-    match json.get(key) {
-        None | Some(Json::Null) => Ok(None),
-        Some(value) => {
-            let items = value
-                .as_arr()
-                .ok_or_else(|| ServiceError::Protocol(format!("`{key}` must be an array")))?;
-            items
-                .iter()
-                .map(|item| {
-                    item.as_u64().map(|v| v as usize).ok_or_else(|| {
-                        ServiceError::Protocol(format!("`{key}` entries must be integers"))
-                    })
-                })
-                .collect::<Result<Vec<usize>, ServiceError>>()
-                .map(Some)
-        }
-    }
+    get_field(json, key, "an array of non-negative integers", |value| {
+        value
+            .as_arr()?
+            .iter()
+            .map(|item| item.as_u64().map(|v| v as usize))
+            .collect()
+    })
 }
 
 fn parse_system(json: &Json) -> Result<p2_topology::SystemTopology, ServiceError> {
-    let name = json
-        .get("system")
-        .and_then(Json::as_str)
+    let name = get_str(json, "system")?
         .ok_or_else(|| ServiceError::Protocol("`system` is required".to_string()))?;
     let nodes = get_usize(json, "nodes")?.unwrap_or(2);
     match name {
@@ -104,7 +117,10 @@ fn parse_system(json: &Json) -> Result<p2_topology::SystemTopology, ServiceError
             let racks = get_usize(json, "racks")?.unwrap_or(2);
             let nodes_per_rack = get_usize(json, "nodes_per_rack")?.unwrap_or(2);
             let gpus = get_usize(json, "gpus")?.unwrap_or(4);
-            match json.get("oversubscription").and_then(Json::as_f64) {
+            match get_f64(json, "oversubscription")? {
+                Some(ratio) if !(ratio.is_finite() && ratio >= 1.0) => Err(ServiceError::Protocol(
+                    "`oversubscription` must be a number >= 1".to_string(),
+                )),
                 Some(ratio) => Ok(presets::rack_node_gpu_system_oversubscribed(
                     racks,
                     nodes_per_rack,
@@ -127,9 +143,7 @@ fn parse_system(json: &Json) -> Result<p2_topology::SystemTopology, ServiceError
 /// [`ServiceError::Protocol`] describing the first problem found.
 pub fn parse_request(line: &str) -> Result<WireRequest, ServiceError> {
     let json = Json::parse(line).map_err(ServiceError::Protocol)?;
-    let op = json
-        .get("op")
-        .and_then(Json::as_str)
+    let op = get_str(&json, "op")?
         .ok_or_else(|| ServiceError::Protocol("`op` is required".to_string()))?;
     match op {
         "ping" => Ok(WireRequest::Ping),
@@ -142,7 +156,7 @@ pub fn parse_request(line: &str) -> Result<WireRequest, ServiceError> {
             let reduction = get_list(&json, "reduction")?
                 .ok_or_else(|| ServiceError::Protocol("`reduction` is required".to_string()))?;
             let mut request = PlanRequest::new(system, axes, reduction);
-            if let Some(algo) = json.get("algo").and_then(Json::as_str) {
+            if let Some(algo) = get_str(&json, "algo")? {
                 request.algo = match algo {
                     "ring" => NcclAlgo::Ring,
                     "tree" => NcclAlgo::Tree,
@@ -153,12 +167,12 @@ pub fn parse_request(line: &str) -> Result<WireRequest, ServiceError> {
                     }
                 };
             }
-            if let Some(kind) = json.get("cost_model").and_then(Json::as_str) {
+            if let Some(kind) = get_str(&json, "cost_model")? {
                 request.cost_model = kind
                     .parse::<CostModelKind>()
                     .map_err(|_| ServiceError::Protocol(format!("unknown cost model `{kind}`")))?;
             }
-            if let Some(mode) = json.get("mode").and_then(Json::as_str) {
+            if let Some(mode) = get_str(&json, "mode")? {
                 request.mode = match mode {
                     "measure" => RunMode::Measure,
                     "predict" | "predict-only" => RunMode::PredictOnly,
@@ -177,21 +191,17 @@ pub fn parse_request(line: &str) -> Result<WireRequest, ServiceError> {
                     }
                 };
             }
-            request.bytes_per_device = json.get("bytes_per_device").and_then(Json::as_f64);
-            request.noise_fraction = json.get("noise").and_then(Json::as_f64);
-            request.seed = json.get("seed").and_then(Json::as_u64);
+            request.bytes_per_device = get_f64(&json, "bytes_per_device")?;
+            request.noise_fraction = get_f64(&json, "noise")?;
+            request.seed = get_u64(&json, "seed")?;
             request.max_program_size = get_usize(&json, "max_program_size")?;
             request.repeats = get_usize(&json, "repeats")?;
             request.keep_top = get_usize(&json, "keep_top")?;
-            request.prune_slack = json.get("prune_slack").and_then(Json::as_f64);
+            request.prune_slack = get_f64(&json, "prune_slack")?;
             if let Some(top_k) = get_usize(&json, "top_k")? {
                 request.top_k = top_k;
             }
-            let tenant = json
-                .get("tenant")
-                .and_then(Json::as_str)
-                .unwrap_or("default")
-                .to_string();
+            let tenant = get_str(&json, "tenant")?.unwrap_or("default").to_string();
             Ok(WireRequest::Plan {
                 tenant,
                 request: Box::new(request),
@@ -346,11 +356,59 @@ mod tests {
             r#"{"op":"plan","system":"a100","reduction":[0]}"#,
             r#"{"op":"plan","system":"a100","axes":[8,4],"reduction":[0],"mode":"shortlist"}"#,
             r#"{"op":"plan","system":"a100","axes":[8,-4],"reduction":[0]}"#,
+            r#"{"op":"plan","system":"rack","axes":[4,4],"reduction":[0],"oversubscription":0.5}"#,
         ] {
             assert!(
                 matches!(parse_request(bad), Err(ServiceError::Protocol(_))),
                 "{bad} should fail"
             );
+        }
+    }
+
+    #[test]
+    fn mistyped_optional_fields_are_protocol_errors_and_null_is_unset() {
+        let a100 = r#""system":"a100","axes":[8,4],"reduction":[0]"#;
+        let rack = r#""system":"rack","axes":[4,4],"reduction":[0]"#;
+        let shortlist = r#""system":"a100","axes":[8,4],"reduction":[0],"mode":"shortlist""#;
+        // (request without the field, field, a value of the wrong type)
+        let cases = [
+            (a100, "nodes", r#""2""#),
+            (rack, "racks", "2.5"),
+            (rack, "nodes_per_rack", r#""2""#),
+            (rack, "gpus", "-4"),
+            (rack, "oversubscription", r#""4""#),
+            (a100, "algo", "5"),
+            (a100, "cost_model", "true"),
+            (a100, "mode", "1"),
+            (shortlist, "shortlist", r#""10""#),
+            (a100, "bytes_per_device", r#""1e9""#),
+            (a100, "noise", r#""0""#),
+            (a100, "seed", "-1"),
+            (a100, "max_program_size", "[5]"),
+            (a100, "repeats", r#""2""#),
+            (a100, "keep_top", "1.5"),
+            (a100, "prune_slack", "true"),
+            (a100, "top_k", r#""3""#),
+            (a100, "tenant", "7"),
+        ];
+        let decode = |line: &str| {
+            parse_request(line).map(|parsed| match parsed {
+                WireRequest::Plan { tenant, request } => (tenant, request.fingerprint()),
+                other => panic!("{line} decoded to {other:?}"),
+            })
+        };
+        for (base, field, mistyped) in cases {
+            let line = format!(r#"{{"op":"plan",{base},"{field}":{mistyped}}}"#);
+            match decode(&line) {
+                Err(ServiceError::Protocol(message)) => assert!(
+                    message.contains(&format!("`{field}`")),
+                    "{line}: the error must name the field, got {message:?}"
+                ),
+                other => panic!("{line} must be a protocol error, got {other:?}"),
+            }
+            let null = format!(r#"{{"op":"plan",{base},"{field}":null}}"#);
+            let omitted = format!(r#"{{"op":"plan",{base}}}"#);
+            assert_eq!(decode(&null), decode(&omitted), "{field}: null means unset");
         }
     }
 

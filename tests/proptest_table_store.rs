@@ -99,13 +99,13 @@ proptest! {
 
         // Warm-start identity: installing into fresh tables and a fresh
         // bank reproduces the exact snapshot on re-capture.
-        let warm_tables = SharedTables::new();
-        let warm_bank = MemoBank::new();
+        let fresh_tables = SharedTables::new();
+        let fresh_bank = MemoBank::new();
         let mut stats = TableStoreStats::default();
-        parsed.install(Some(&warm_tables), &warm_bank, &mut stats);
+        parsed.install(Some(&fresh_tables), &fresh_bank, &mut stats);
         prop_assert_eq!(stats.warm_states, snapshot.states.len());
         prop_assert_eq!(stats.warm_apply_entries, snapshot.apply.len());
-        let recaptured = TableSnapshot::capture(Some(&warm_tables), &warm_bank);
+        let recaptured = TableSnapshot::capture(Some(&fresh_tables), &fresh_bank);
         prop_assert_eq!(recaptured.to_json_string(key), snapshot.to_json_string(key));
     }
 
