@@ -41,7 +41,8 @@ pub struct PlacementEvaluation {
     /// Programs not retained as evaluations: cut early by the cost bound
     /// (never costed in full, never measured) or displaced from the top-K
     /// heap (in eagerly-measuring runs these were measured before eviction).
-    /// Zero when the pipeline retains everything (`keep_top = None`).
+    /// Zero when nothing prunes: `keep_top = None` and no observer supplied
+    /// a bound (see [`P2Config::prune_slack`](crate::P2Config::prune_slack)).
     pub programs_pruned: usize,
     /// Programs retained as full [`ProgramEvaluation`]s (`programs.len()`).
     pub programs_retained: usize,

@@ -56,7 +56,7 @@ mod calibrated;
 mod error;
 mod loggp;
 mod model;
-mod patterns;
+pub mod patterns;
 
 pub use algo::NcclAlgo;
 pub use alpha_beta::AlphaBetaModel;

@@ -1,7 +1,12 @@
-//! Communication patterns and traffic machinery shared by the analytic cost
-//! models: the edges a collective's algorithm sends over, the bytes each edge
-//! carries, the number of communication rounds, and the contention-aware
-//! per-uplink aggregation every model's bandwidth term is built from.
+//! NCCL's communication shapes, and the traffic machinery shared by the
+//! analytic cost models.
+//!
+//! The shapes — the order a group is laid out in, its ring and chain edges
+//! and its binomial-tree levels — are defined here once. The cost models
+//! build per-edge totals and round counts from them; the `p2_exec` substrate
+//! builds per-round transfers from the same shapes. The rest of the module
+//! is the contention-aware per-uplink aggregation every model's bandwidth
+//! term is built from.
 
 use std::collections::HashMap;
 
@@ -12,35 +17,34 @@ use p2_topology::{SystemTopology, Uplink};
 use crate::algo::NcclAlgo;
 use crate::model::StepCost;
 
-/// NCCL builds topology-aware rings that enter and leave every locality domain
-/// once; ordering the group by physical rank reproduces that, because ranks
-/// enumerate the hierarchy depth-first.
-fn nccl_ring_order(devices: &[usize]) -> Vec<usize> {
+/// The order NCCL lays `devices` out in for `collective`.
+///
+/// NCCL builds topology-aware rings, chains and trees that enter and leave
+/// every locality domain once; ordering the group by physical rank
+/// reproduces that, because ranks enumerate the hierarchy depth-first. The
+/// rooted collectives (Reduce and Broadcast) keep their designated root, the
+/// group's first device, in front and order the rest by rank. Every other
+/// collective, AllReduce included, has no root and uses plain rank order.
+pub fn nccl_order(collective: Collective, devices: &[usize]) -> Vec<usize> {
     let mut order = devices.to_vec();
-    order.sort_unstable();
-    order
-}
-
-/// Root-first order for rooted collectives: the group's designated root stays
-/// first, the rest is ordered by physical rank (hierarchy-aware chain/tree).
-fn rooted_order(devices: &[usize]) -> Vec<usize> {
-    let mut order = devices.to_vec();
-    if order.len() > 1 {
-        order[1..].sort_unstable();
+    match collective {
+        Collective::Reduce | Collective::Broadcast if !order.is_empty() => {
+            order[1..].sort_unstable();
+        }
+        _ => order.sort_unstable(),
     }
     order
 }
 
-/// Consecutive ring edges (including the wrap-around) in hierarchy-aware order.
-fn ring_edges(devices: &[usize]) -> Vec<(usize, usize)> {
-    let order = nccl_ring_order(devices);
+/// Ring edges over `order`: every device sends to its successor, the last
+/// one to the first.
+pub fn ring_edges(order: &[usize]) -> Vec<(usize, usize)> {
     let n = order.len();
     (0..n).map(|i| (order[i], order[(i + 1) % n])).collect()
 }
 
-/// Chain edges toward (`toward_root`) or away from the first device.
-fn chain_edges(devices: &[usize], toward_root: bool) -> Vec<(usize, usize)> {
-    let order = rooted_order(devices);
+/// Chain edges over `order`, toward (`toward_root`) or away from `order[0]`.
+pub fn chain_edges(order: &[usize], toward_root: bool) -> Vec<(usize, usize)> {
     (1..order.len())
         .map(|i| {
             if toward_root {
@@ -52,33 +56,34 @@ fn chain_edges(devices: &[usize], toward_root: bool) -> Vec<(usize, usize)> {
         .collect()
 }
 
-/// Binomial-tree edges toward the first device (child → parent).
-fn tree_edges(devices: &[usize]) -> Vec<(usize, usize)> {
-    let order = rooted_order(devices);
+/// The levels of a binomial tree rooted at `order[0]`, one level per
+/// communication round: `ceil(log2 n)` levels in all.
+///
+/// Toward the root (a reduction), level `k` joins the devices `2^k` apart,
+/// child → parent, nearest pairs first. Away from the root (a broadcast),
+/// the same levels run in reverse order with every edge reversed.
+pub fn tree_levels(order: &[usize], toward_root: bool) -> Vec<Vec<(usize, usize)>> {
     let n = order.len();
-    let mut edges = Vec::new();
+    let mut levels = Vec::new();
     let mut step = 1usize;
     while step < n {
-        let mut i = 0usize;
-        while i + step < n {
-            edges.push((order[i + step], order[i]));
-            i += 2 * step;
-        }
+        let level = (0..n - step)
+            .step_by(2 * step)
+            .map(|i| {
+                if toward_root {
+                    (order[i + step], order[i])
+                } else {
+                    (order[i], order[i + step])
+                }
+            })
+            .collect();
+        levels.push(level);
         step *= 2;
     }
-    edges
-}
-
-/// Each edge plus its reverse (for AllReduce's reduce-then-broadcast tree).
-fn bidirectional(edges: Vec<(usize, usize)>) -> Vec<(usize, usize)> {
-    let mut out = edges.clone();
-    out.extend(edges.into_iter().map(|(a, b)| (b, a)));
-    out
-}
-
-/// Every edge reversed (broadcast down a reduction tree).
-fn reverse_edges(edges: Vec<(usize, usize)>) -> Vec<(usize, usize)> {
-    edges.into_iter().map(|(a, b)| (b, a)).collect()
+    if !toward_root {
+        levels.reverse();
+    }
+    levels
 }
 
 /// Edges of the communication pattern of one collective over `devices`, the
@@ -90,28 +95,28 @@ pub(crate) fn collective_pattern(
     devices: &[usize],
     bytes: f64,
 ) -> (Vec<(usize, usize)>, f64, f64) {
+    let order = nccl_order(collective, devices);
+    let tree = |toward_root| tree_levels(&order, toward_root).concat();
     let n_f = devices.len() as f64;
     match (collective, algo) {
         (Collective::AllReduce, NcclAlgo::Ring) => (
-            ring_edges(devices),
+            ring_edges(&order),
             2.0 * (n_f - 1.0) / n_f * bytes,
             2.0 * (n_f - 1.0),
         ),
         (Collective::ReduceScatter, _) => {
-            (ring_edges(devices), (n_f - 1.0) / n_f * bytes, n_f - 1.0)
+            (ring_edges(&order), (n_f - 1.0) / n_f * bytes, n_f - 1.0)
         }
-        (Collective::AllGather, _) => (ring_edges(devices), (n_f - 1.0) * bytes, n_f - 1.0),
+        (Collective::AllGather, _) => (ring_edges(&order), (n_f - 1.0) * bytes, n_f - 1.0),
         (Collective::AllReduce, NcclAlgo::Tree) => (
-            bidirectional(tree_edges(devices)),
+            [tree(true), tree(false)].concat(),
             bytes,
             2.0 * n_f.log2().ceil(),
         ),
-        (Collective::Reduce, NcclAlgo::Tree) => (tree_edges(devices), bytes, n_f.log2().ceil()),
-        (Collective::Broadcast, NcclAlgo::Tree) => {
-            (reverse_edges(tree_edges(devices)), bytes, n_f.log2().ceil())
-        }
-        (Collective::Reduce, NcclAlgo::Ring) => (chain_edges(devices, true), bytes, n_f - 1.0),
-        (Collective::Broadcast, NcclAlgo::Ring) => (chain_edges(devices, false), bytes, n_f - 1.0),
+        (Collective::Reduce, NcclAlgo::Tree) => (tree(true), bytes, n_f.log2().ceil()),
+        (Collective::Broadcast, NcclAlgo::Tree) => (tree(false), bytes, n_f.log2().ceil()),
+        (Collective::Reduce, NcclAlgo::Ring) => (chain_edges(&order, true), bytes, n_f - 1.0),
+        (Collective::Broadcast, NcclAlgo::Ring) => (chain_edges(&order, false), bytes, n_f - 1.0),
     }
 }
 
@@ -151,11 +156,7 @@ pub(crate) fn group_traffic_terms(
     let mut traffic: HashMap<(Uplink, bool), f64> = HashMap::new();
     let mut wire_latency = 0.0_f64;
     for &(src, dst) in &edges {
-        for uplink in system.used_uplinks(&[src, dst]) {
-            let outbound = system
-                .ancestor_instance(src, uplink.level)
-                .map(|inst| inst == uplink.instance)
-                .unwrap_or(false);
+        for (uplink, outbound) in system.route(src, dst) {
             *traffic.entry((uplink, outbound)).or_insert(0.0) += bytes_per_edge;
             wire_latency = wire_latency.max(system.link(uplink.level).latency());
         }
@@ -217,16 +218,19 @@ mod tests {
 
     #[test]
     fn ring_covers_every_device_once() {
-        let edges = ring_edges(&[5, 1, 3]);
-        assert_eq!(edges, vec![(1, 3), (3, 5), (5, 1)]);
+        let order = nccl_order(Collective::AllGather, &[5, 1, 3]);
+        assert_eq!(ring_edges(&order), vec![(1, 3), (3, 5), (5, 1)]);
     }
 
     #[test]
     fn rooted_orders_keep_the_root_first() {
-        assert_eq!(chain_edges(&[4, 9, 2], true), vec![(2, 4), (9, 2)]);
-        assert_eq!(chain_edges(&[4, 9, 2], false), vec![(4, 2), (2, 9)]);
-        let tree = tree_edges(&[4, 9, 2]);
-        assert!(tree.contains(&(2, 4)));
+        let order = nccl_order(Collective::Reduce, &[4, 9, 2]);
+        assert_eq!(order, vec![4, 2, 9]);
+        assert_eq!(chain_edges(&order, true), vec![(2, 4), (9, 2)]);
+        assert_eq!(chain_edges(&order, false), vec![(4, 2), (2, 9)]);
+        assert_eq!(tree_levels(&order, true), vec![vec![(2, 4)], vec![(9, 4)]]);
+        assert_eq!(tree_levels(&order, false), vec![vec![(4, 9)], vec![(4, 2)]]);
+        assert_eq!(nccl_order(Collective::AllReduce, &[4, 9, 2]), vec![2, 4, 9]);
     }
 
     #[test]

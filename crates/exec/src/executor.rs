@@ -12,7 +12,7 @@ use p2_topology::{SystemTopology, Uplink};
 use crate::config::ExecConfig;
 use crate::error::ExecError;
 use crate::rng::NoiseRng;
-use crate::schedule::collective_rounds;
+use crate::schedule::{collective_rounds, Round};
 
 /// Noise-free step times by exact step layout: [`LoweredStep::layout_hash`]
 /// buckets, confirmed in place by [`LoweredStep::same_layout`]. `None` marks
@@ -181,7 +181,7 @@ impl<'a> Executor<'a> {
     /// it. `None` when no group has a round.
     fn simulate(&self, step: &LoweredStep) -> Option<f64> {
         // Expand every group into its rounds.
-        let group_rounds: Vec<Vec<crate::schedule::Round>> = step
+        let group_rounds: Vec<Vec<Round>> = step
             .groups
             .iter()
             .map(|g| {
@@ -201,17 +201,9 @@ impl<'a> Executor<'a> {
                 let Some(round) = rounds.get(round_idx) else {
                     continue;
                 };
-                for transfer in round {
-                    if transfer.src == transfer.dst {
-                        continue;
-                    }
-                    for uplink in self.system.used_uplinks(&[transfer.src, transfer.dst]) {
-                        let outbound = self
-                            .system
-                            .ancestor_instance(transfer.src, uplink.level)
-                            .map(|inst| inst == uplink.instance)
-                            .unwrap_or(false);
-                        *load.entry((uplink, outbound)).or_insert(0.0) += transfer.bytes;
+                for &(src, dst) in &round.transfers {
+                    for (uplink, outbound) in self.system.route(src, dst) {
+                        *load.entry((uplink, outbound)).or_insert(0.0) += round.bytes;
                         latency = latency.max(self.system.link(uplink.level).latency());
                     }
                 }
@@ -465,6 +457,41 @@ mod tests {
         for run in exec.measure_runs(&empty) {
             assert_eq!(run.to_bits(), 0.0f64.to_bits());
         }
+    }
+
+    #[test]
+    fn an_allreduce_tree_has_no_root_in_either_model() {
+        // One group in two orders. A group's first device is the root of a
+        // rooted collective, so Reduce depends on the order; AllReduce has
+        // no root and must not.
+        let sys = presets::a100_system(2);
+        let model = AlphaBetaModel::new(sys.clone(), NcclAlgo::Tree, GB).unwrap();
+        let exec =
+            Executor::new(&sys, ExecConfig::new(NcclAlgo::Tree, GB).with_noise(0.0)).unwrap();
+        let program = |collective, devices: [usize; 4]| LoweredProgram {
+            steps: vec![LoweredStep {
+                collective,
+                groups: vec![GroupExec {
+                    devices: devices.to_vec(),
+                    input_fraction: 1.0,
+                }],
+            }],
+            num_devices: 32,
+        };
+        let times = |collective| {
+            [[16, 0, 1, 17], [0, 1, 16, 17]].map(|devices| {
+                let p = program(collective, devices);
+                (model.program_time(&p).to_bits(), exec.measure(&p).to_bits())
+            })
+        };
+        let [(predicted, measured), (predicted_sorted, measured_sorted)] =
+            times(p2_collectives::Collective::AllReduce);
+        assert_eq!(predicted, predicted_sorted);
+        assert_eq!(measured, measured_sorted);
+        let [(predicted, measured), (predicted_sorted, measured_sorted)] =
+            times(p2_collectives::Collective::Reduce);
+        assert_ne!(predicted, predicted_sorted);
+        assert_ne!(measured, measured_sorted);
     }
 
     #[test]

@@ -15,7 +15,11 @@
 //! table).
 //!
 //! The analytic model in [`p2_cost`] plays the role of the paper's simulator;
-//! this crate plays the role of the paper's measurements.
+//! this crate plays the role of the paper's measurements. The two share one
+//! traffic model: the rounds are built from NCCL's ring, chain and tree shapes
+//! in [`p2_cost::patterns`], and every transfer crosses the uplinks
+//! [`p2_topology::SystemTopology::route`] names. Only the byte and time
+//! formulas are the substrate's own.
 //!
 //! # Example
 //!
@@ -45,4 +49,3 @@ mod schedule;
 pub use config::ExecConfig;
 pub use error::ExecError;
 pub use executor::Executor;
-pub use schedule::{Round, Transfer};

@@ -1,22 +1,18 @@
-//! Expansion of collective calls into rounds of point-to-point transfers.
+//! Expansion of collective calls into rounds of point-to-point transfers,
+//! built on the NCCL shapes of [`p2_cost::patterns`].
 
 use p2_collectives::Collective;
+use p2_cost::patterns::{chain_edges, nccl_order, ring_edges, tree_levels};
 use p2_cost::NcclAlgo;
 use p2_synthesis::GroupExec;
 
-/// One point-to-point transfer: `bytes` moved from device `src` to `dst`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Transfer {
-    /// Sending device rank.
-    pub src: usize,
-    /// Receiving device rank.
-    pub dst: usize,
-    /// Payload size in bytes.
-    pub bytes: f64,
+/// One communication round of one group: `(src, dst)` transfers that happen
+/// concurrently, each moving `bytes`.
+#[derive(Clone)]
+pub(crate) struct Round {
+    pub(crate) transfers: Vec<(usize, usize)>,
+    pub(crate) bytes: f64,
 }
-
-/// One communication round: transfers that happen concurrently.
-pub type Round = Vec<Transfer>;
 
 /// Expands one collective over one device group into its rounds of
 /// point-to-point transfers, following the structure of NCCL's ring and tree
@@ -25,7 +21,7 @@ pub type Round = Vec<Transfer>;
 /// `bytes` is the per-participant payload of the call (the full buffer for an
 /// AllReduce, the per-rank block for an AllGather, …). Groups with fewer than
 /// two devices produce no rounds.
-pub fn collective_rounds(
+pub(crate) fn collective_rounds(
     collective: Collective,
     algo: NcclAlgo,
     group: &GroupExec,
@@ -35,121 +31,34 @@ pub fn collective_rounds(
     if n < 2 || bytes <= 0.0 {
         return Vec::new();
     }
-    // NCCL builds topology-aware rings/chains/trees: ordering the group by
-    // physical rank keeps locality domains contiguous, so every domain is
-    // entered and left once. Rooted collectives keep the designated root
-    // (the group's first device) in front.
-    let ring_order = {
-        let mut o = group.devices.clone();
-        o.sort_unstable();
-        o
-    };
-    let rooted = {
-        let mut o = group.devices.clone();
-        if o.len() > 1 {
-            o[1..].sort_unstable();
-        }
-        o
+    let order = nccl_order(collective, &group.devices);
+    // `count` rounds over the same transfers, each moving `bytes`.
+    let repeat = |transfers, count, bytes| vec![Round { transfers, bytes }; count];
+    // One full-payload round per binomial-tree level.
+    let tree = |toward_root| {
+        tree_levels(&order, toward_root)
+            .into_iter()
+            .map(|transfers| Round { transfers, bytes })
     };
     match (collective, algo) {
         (Collective::AllReduce, NcclAlgo::Ring) => {
             // Reduce-scatter phase then all-gather phase: 2(n-1) rounds of S/n.
-            ring_rounds(&ring_order, 2 * (n - 1), bytes / n as f64)
+            repeat(ring_edges(&order), 2 * (n - 1), bytes / n as f64)
         }
-        (Collective::ReduceScatter, _) => ring_rounds(&ring_order, n - 1, bytes / n as f64),
-        (Collective::AllGather, _) => ring_rounds(&ring_order, n - 1, bytes),
-        (Collective::AllReduce, NcclAlgo::Tree) => {
-            let mut rounds = reduce_tree_rounds(&ring_order, bytes);
-            rounds.extend(broadcast_tree_rounds(&ring_order, bytes));
-            rounds
+        (Collective::ReduceScatter, _) => repeat(ring_edges(&order), n - 1, bytes / n as f64),
+        (Collective::AllGather, _) => repeat(ring_edges(&order), n - 1, bytes),
+        (Collective::AllReduce, NcclAlgo::Tree) => tree(true).chain(tree(false)).collect(),
+        (Collective::Reduce, NcclAlgo::Tree) => tree(true).collect(),
+        (Collective::Broadcast, NcclAlgo::Tree) => tree(false).collect(),
+        // A pipelined chain: `n - 1` rounds in which every chain link carries
+        // an equal share of the payload, so each link moves `bytes` in total.
+        (Collective::Reduce, NcclAlgo::Ring) => {
+            repeat(chain_edges(&order, true), n - 1, bytes / (n - 1) as f64)
         }
-        (Collective::Reduce, NcclAlgo::Tree) => reduce_tree_rounds(&rooted, bytes),
-        (Collective::Broadcast, NcclAlgo::Tree) => broadcast_tree_rounds(&rooted, bytes),
-        (Collective::Reduce, NcclAlgo::Ring) => chain_rounds(&rooted, bytes, true),
-        (Collective::Broadcast, NcclAlgo::Ring) => chain_rounds(&rooted, bytes, false),
-    }
-}
-
-/// `rounds` rounds in which every device sends `bytes_per_round` to its ring
-/// successor.
-fn ring_rounds(devices: &[usize], rounds: usize, bytes_per_round: f64) -> Vec<Round> {
-    let n = devices.len();
-    (0..rounds)
-        .map(|_| {
-            (0..n)
-                .map(|i| Transfer {
-                    src: devices[i],
-                    dst: devices[(i + 1) % n],
-                    bytes: bytes_per_round,
-                })
-                .collect()
-        })
-        .collect()
-}
-
-/// A pipelined chain toward (`toward_root = true`) or away from the root:
-/// `n - 1` rounds in which every chain link carries an equal share of the
-/// payload, so each link moves `bytes` in total.
-fn chain_rounds(devices: &[usize], bytes: f64, toward_root: bool) -> Vec<Round> {
-    let n = devices.len();
-    let per_round = bytes / (n - 1) as f64;
-    (0..n - 1)
-        .map(|_| {
-            (1..n)
-                .map(|i| {
-                    if toward_root {
-                        Transfer {
-                            src: devices[i],
-                            dst: devices[i - 1],
-                            bytes: per_round,
-                        }
-                    } else {
-                        Transfer {
-                            src: devices[i - 1],
-                            dst: devices[i],
-                            bytes: per_round,
-                        }
-                    }
-                })
-                .collect()
-        })
-        .collect()
-}
-
-/// Binomial-tree reduction toward `devices[0]`: `ceil(log2 n)` rounds of
-/// full-payload transfers.
-fn reduce_tree_rounds(devices: &[usize], bytes: f64) -> Vec<Round> {
-    let n = devices.len();
-    let mut rounds = Vec::new();
-    let mut step = 1usize;
-    while step < n {
-        let mut round = Vec::new();
-        let mut i = 0usize;
-        while i + step < n {
-            round.push(Transfer {
-                src: devices[i + step],
-                dst: devices[i],
-                bytes,
-            });
-            i += 2 * step;
-        }
-        rounds.push(round);
-        step *= 2;
-    }
-    rounds
-}
-
-/// Binomial-tree broadcast from `devices[0]`: the reverse of
-/// [`reduce_tree_rounds`].
-fn broadcast_tree_rounds(devices: &[usize], bytes: f64) -> Vec<Round> {
-    let mut rounds = reduce_tree_rounds(devices, bytes);
-    rounds.reverse();
-    for round in &mut rounds {
-        for t in round.iter_mut() {
-            std::mem::swap(&mut t.src, &mut t.dst);
+        (Collective::Broadcast, NcclAlgo::Ring) => {
+            repeat(chain_edges(&order, false), n - 1, bytes / (n - 1) as f64)
         }
     }
-    rounds
 }
 
 #[cfg(test)]
@@ -163,22 +72,25 @@ mod tests {
         }
     }
 
+    /// Bytes a schedule moves over the transfers matching `pick`.
+    fn bytes_over(rounds: &[Round], pick: impl Fn(usize, usize) -> bool) -> f64 {
+        rounds
+            .iter()
+            .map(|r| r.bytes * r.transfers.iter().filter(|&&(s, d)| pick(s, d)).count() as f64)
+            .sum()
+    }
+
     #[test]
     fn ring_allreduce_round_structure() {
         let g = group(vec![0, 1, 2, 3]);
         let rounds = collective_rounds(Collective::AllReduce, NcclAlgo::Ring, &g, 4.0);
         assert_eq!(rounds.len(), 6); // 2 * (4 - 1)
         for round in &rounds {
-            assert_eq!(round.len(), 4);
-            assert!(round.iter().all(|t| (t.bytes - 1.0).abs() < 1e-12));
+            assert_eq!(round.transfers.len(), 4);
+            assert!((round.bytes - 1.0).abs() < 1e-12);
         }
         // Total bytes leaving device 0: 6 rounds * 1 byte = 2 * (n-1)/n * total.
-        let sent: f64 = rounds
-            .iter()
-            .flatten()
-            .filter(|t| t.src == 0)
-            .map(|t| t.bytes)
-            .sum();
+        let sent = bytes_over(&rounds, |src, _| src == 0);
         assert!((sent - 6.0).abs() < 1e-12);
     }
 
@@ -187,10 +99,15 @@ mod tests {
         let g = group(vec![0, 1, 2, 3, 4]);
         let rounds = collective_rounds(Collective::AllReduce, NcclAlgo::Tree, &g, 8.0);
         assert_eq!(rounds.len(), 6); // ceil(log2 5) = 3 up + 3 down
-                                     // The first reduce round pairs neighbours; the final broadcast round mirrors it.
-        assert!(rounds[0].iter().all(|t| t.dst < t.src || t.bytes == 8.0));
-        let total_up: f64 = rounds[..3].iter().flatten().map(|t| t.bytes).sum();
-        let total_down: f64 = rounds[3..].iter().flatten().map(|t| t.bytes).sum();
+        assert!(rounds.iter().all(|r| r.bytes == 8.0));
+        // The first reduce round pairs neighbours; the final broadcast round
+        // mirrors it.
+        assert!(rounds[0].transfers.iter().all(|&(src, dst)| dst < src));
+        let mirrored: Vec<(usize, usize)> =
+            rounds[0].transfers.iter().map(|&(s, d)| (d, s)).collect();
+        assert_eq!(rounds[5].transfers, mirrored);
+        let total_up = bytes_over(&rounds[..3], |_, _| true);
+        let total_down = bytes_over(&rounds[3..], |_, _| true);
         assert!((total_up - total_down).abs() < 1e-12);
     }
 
@@ -200,9 +117,14 @@ mod tests {
         let rounds = collective_rounds(Collective::Reduce, NcclAlgo::Tree, &g, 1.0);
         assert_eq!(rounds.len(), 2);
         // Last round must deliver into the root (device 10).
-        assert!(rounds.last().unwrap().iter().any(|t| t.dst == 10));
+        assert!(rounds
+            .last()
+            .unwrap()
+            .transfers
+            .iter()
+            .any(|&(_, d)| d == 10));
         // No transfer ever sends *from* the root in a reduce.
-        assert!(rounds.iter().flatten().all(|t| t.src != 10));
+        assert_eq!(bytes_over(&rounds, |src, _| src == 10), 0.0);
     }
 
     #[test]
@@ -210,12 +132,7 @@ mod tests {
         let g = group(vec![0, 1, 2]);
         let rounds = collective_rounds(Collective::Broadcast, NcclAlgo::Ring, &g, 6.0);
         assert_eq!(rounds.len(), 2);
-        let over_first_link: f64 = rounds
-            .iter()
-            .flatten()
-            .filter(|t| t.src == 0 && t.dst == 1)
-            .map(|t| t.bytes)
-            .sum();
+        let over_first_link = bytes_over(&rounds, |src, dst| src == 0 && dst == 1);
         assert!((over_first_link - 6.0).abs() < 1e-12);
     }
 
@@ -224,10 +141,7 @@ mod tests {
         let g = group(vec![0, 1, 2, 3]);
         let rounds = collective_rounds(Collective::AllGather, NcclAlgo::Ring, &g, 2.0);
         assert_eq!(rounds.len(), 3);
-        assert!(rounds
-            .iter()
-            .flatten()
-            .all(|t| (t.bytes - 2.0).abs() < 1e-12));
+        assert!(rounds.iter().all(|r| (r.bytes - 2.0).abs() < 1e-12));
     }
 
     #[test]

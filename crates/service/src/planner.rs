@@ -15,7 +15,7 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use p2_collectives::SharedTables;
@@ -506,7 +506,16 @@ impl Planner {
     /// in-flight batch finishes (its waiters still get their plans).
     /// Idempotent.
     pub fn shutdown(&self) {
+        // Set the flag under the queue lock: the worker checks it under that
+        // lock right before it waits, so the wake-up cannot fall in between.
+        // The guard orders the store only, so a poisoned lock serves as well.
+        let queue = self
+            .inner
+            .queue
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         self.inner.shutdown.store(true, Ordering::Release);
+        drop(queue);
         self.inner.queue_wake.notify_all();
         if let Some(handle) = self.worker.lock().expect("worker poisoned").take() {
             let _ = handle.join();

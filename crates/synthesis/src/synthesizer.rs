@@ -153,9 +153,6 @@ struct SearchGraph {
     /// Whether each state is the goal (the goal is absorbing: programs end
     /// there and never extend past it).
     is_goal: Vec<bool>,
-    /// Minimal number of instructions from each state to the goal
-    /// (`usize::MAX` when the goal is unreachable from it).
-    min_steps: Vec<usize>,
 }
 
 impl SearchGraph {
@@ -670,14 +667,16 @@ impl Synthesizer {
         let (graph, init_id) = self.build_graph_reference(&candidates, max_size, &mut stats);
         stats.build_duration = build_start.elapsed();
         let emit_start = Instant::now();
+        let min_steps = min_steps(&graph);
         let mut stack: Vec<Instruction> = Vec::with_capacity(max_size);
         let mut scratch = Program::empty();
         for target in 0..=max_size {
-            if graph.min_steps[init_id] > target {
+            if min_steps[init_id] > target {
                 continue;
             }
             let ctrl = emit_exact(
                 &graph,
+                &min_steps,
                 &candidates,
                 init_id,
                 0,
@@ -1176,7 +1175,7 @@ impl Synthesizer {
             None => stats.unique_device_states = tables.num_states(),
         }
         BuiltGraph {
-            graph: Self::finish_graph(is_goal, edges),
+            graph: SearchGraph { edges, is_goal },
             init_id: 0,
             tuples: keep_tuples.then_some(tuples),
             fractions,
@@ -1233,44 +1232,7 @@ impl Synthesizer {
             edges[id] = Some(out);
         }
 
-        (Self::finish_graph(is_goal, edges), init_id)
-    }
-
-    /// Computes per-state distances to the goal, completing a [`SearchGraph`].
-    fn finish_graph(is_goal: Vec<bool>, edges: Vec<Option<Vec<(usize, usize)>>>) -> SearchGraph {
-        // Reverse breadth-first search from the goal: minimal steps-to-goal is
-        // the admissible pruning bound for the emission pass.
-        let n = is_goal.len();
-        let mut rev: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (id, out) in edges.iter().enumerate() {
-            if let Some(out) = out {
-                for &(_, next) in out {
-                    rev[next].push(id);
-                }
-            }
-        }
-        let mut min_steps = vec![usize::MAX; n];
-        let mut q: VecDeque<usize> = VecDeque::new();
-        for (id, &g) in is_goal.iter().enumerate() {
-            if g {
-                min_steps[id] = 0;
-                q.push_back(id);
-            }
-        }
-        while let Some(id) = q.pop_front() {
-            for &p in &rev[id] {
-                if min_steps[p] == usize::MAX {
-                    min_steps[p] = min_steps[id] + 1;
-                    q.push_back(p);
-                }
-            }
-        }
-
-        SearchGraph {
-            edges,
-            is_goal,
-            min_steps,
-        }
+        (SearchGraph { edges, is_goal }, init_id)
     }
 
     /// Synthesizes every valid program of at most `max_size` instructions
@@ -1393,6 +1355,39 @@ where
     }
 }
 
+/// Minimal number of instructions from each state of `graph` to the goal
+/// (`usize::MAX` when the goal is unreachable from it), by a reverse
+/// breadth-first search from the goal: the admissible pruning bound of the
+/// reference emission.
+fn min_steps(graph: &SearchGraph) -> Vec<usize> {
+    let n = graph.len();
+    let mut rev: Vec<Vec<usize>> = vec![Vec::new(); n];
+    for (id, out) in graph.edges.iter().enumerate() {
+        if let Some(out) = out {
+            for &(_, next) in out {
+                rev[next].push(id);
+            }
+        }
+    }
+    let mut min_steps = vec![usize::MAX; n];
+    let mut q: VecDeque<usize> = VecDeque::new();
+    for (id, &g) in graph.is_goal.iter().enumerate() {
+        if g {
+            min_steps[id] = 0;
+            q.push_back(id);
+        }
+    }
+    while let Some(id) = q.pop_front() {
+        for &p in &rev[id] {
+            if min_steps[p] == usize::MAX {
+                min_steps[p] = min_steps[id] + 1;
+                q.push_back(p);
+            }
+        }
+    }
+    min_steps
+}
+
 /// Depth-first emission of every goal-reaching path of exactly `target`
 /// instructions, reusing one instruction stack and one scratch program —
 /// pruned only by the admissible `min_steps` bound. Kept as the reference
@@ -1400,6 +1395,7 @@ where
 #[allow(clippy::too_many_arguments)]
 fn emit_exact<S>(
     graph: &SearchGraph,
+    min_steps: &[usize],
     candidates: &[Candidate],
     id: usize,
     depth: usize,
@@ -1429,12 +1425,13 @@ where
     };
     let remaining = target - depth - 1;
     for &(ci, next) in edges {
-        if graph.min_steps[next] > remaining {
+        if min_steps[next] > remaining {
             continue;
         }
         stack.push(candidates[ci].0);
         let ctrl = emit_exact(
             graph,
+            min_steps,
             candidates,
             next,
             depth + 1,

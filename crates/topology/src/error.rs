@@ -35,11 +35,6 @@ pub enum TopologyError {
         /// Number of devices in the hierarchy.
         num_devices: usize,
     },
-    /// A device coordinate did not match the hierarchy shape.
-    InvalidCoordinate {
-        /// The offending coordinate.
-        coord: Vec<usize>,
-    },
 }
 
 impl fmt::Display for TopologyError {
@@ -70,9 +65,6 @@ impl fmt::Display for TopologyError {
                     f,
                     "device rank {rank} out of range for {num_devices} devices"
                 )
-            }
-            TopologyError::InvalidCoordinate { coord } => {
-                write!(f, "coordinate {coord:?} does not match the hierarchy shape")
             }
         }
     }

@@ -1,4 +1,3 @@
-use crate::device::DeviceCoord;
 use crate::error::TopologyError;
 
 /// One level of the hardware hierarchy: a name and a cardinality.
@@ -53,7 +52,7 @@ impl Level {
 /// use p2_topology::{Hierarchy, Level};
 /// let h = Hierarchy::new(vec![Level::new("node", 2), Level::new("gpu", 4)]).unwrap();
 /// assert_eq!(h.num_devices(), 8);
-/// assert_eq!(h.rank_to_coord(5).unwrap().digits(), &[1, 1]);
+/// assert_eq!(h.arities(), vec![2, 4]);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Hierarchy {
@@ -128,75 +127,6 @@ impl Hierarchy {
     pub fn num_devices(&self) -> usize {
         self.levels.iter().map(|l| l.arity).product()
     }
-
-    /// Converts a device rank to its hierarchical coordinate.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TopologyError::DeviceOutOfRange`] if `rank` is not a valid
-    /// device rank.
-    pub fn rank_to_coord(&self, rank: usize) -> Result<DeviceCoord, TopologyError> {
-        let n = self.num_devices();
-        if rank >= n {
-            return Err(TopologyError::DeviceOutOfRange {
-                rank,
-                num_devices: n,
-            });
-        }
-        let mut digits = vec![0usize; self.depth()];
-        let mut rest = rank;
-        for (i, level) in self.levels.iter().enumerate().rev() {
-            digits[i] = rest % level.arity;
-            rest /= level.arity;
-        }
-        Ok(DeviceCoord::new(digits))
-    }
-
-    /// Converts a hierarchical coordinate back to a device rank.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TopologyError::InvalidCoordinate`] if the coordinate's shape
-    /// does not match the hierarchy or any digit is out of range.
-    pub fn coord_to_rank(&self, coord: &DeviceCoord) -> Result<usize, TopologyError> {
-        let digits = coord.digits();
-        if digits.len() != self.depth() {
-            return Err(TopologyError::InvalidCoordinate {
-                coord: digits.to_vec(),
-            });
-        }
-        let mut rank = 0usize;
-        for (digit, level) in digits.iter().zip(&self.levels) {
-            if *digit >= level.arity {
-                return Err(TopologyError::InvalidCoordinate {
-                    coord: digits.to_vec(),
-                });
-            }
-            rank = rank * level.arity + digit;
-        }
-        Ok(rank)
-    }
-
-    /// A human-readable name for a device, e.g. `"rack0/server1/CPU0/GPU3"`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TopologyError::DeviceOutOfRange`] if `rank` is invalid.
-    pub fn device_name(&self, rank: usize) -> Result<String, TopologyError> {
-        let coord = self.rank_to_coord(rank)?;
-        Ok(coord
-            .digits()
-            .iter()
-            .zip(&self.levels)
-            .map(|(d, l)| format!("{}{}", l.name, d))
-            .collect::<Vec<_>>()
-            .join("/"))
-    }
-
-    /// Iterates over all device ranks.
-    pub fn device_ranks(&self) -> std::ops::Range<usize> {
-        0..self.num_devices()
-    }
 }
 
 #[cfg(test)]
@@ -214,36 +144,6 @@ mod tests {
     }
 
     #[test]
-    fn rank_coord_roundtrip() {
-        let h = figure2a();
-        for rank in h.device_ranks() {
-            let coord = h.rank_to_coord(rank).unwrap();
-            assert_eq!(h.coord_to_rank(&coord).unwrap(), rank);
-        }
-    }
-
-    #[test]
-    fn rank_out_of_range_is_error() {
-        let h = figure2a();
-        assert!(matches!(
-            h.rank_to_coord(16),
-            Err(TopologyError::DeviceOutOfRange {
-                rank: 16,
-                num_devices: 16
-            })
-        ));
-    }
-
-    #[test]
-    fn coord_with_bad_digit_is_error() {
-        let h = figure2a();
-        let bad = DeviceCoord::new(vec![0, 0, 2, 0]);
-        assert!(h.coord_to_rank(&bad).is_err());
-        let short = DeviceCoord::new(vec![0, 0]);
-        assert!(h.coord_to_rank(&short).is_err());
-    }
-
-    #[test]
     fn empty_hierarchy_rejected() {
         assert_eq!(Hierarchy::new(vec![]), Err(TopologyError::EmptyHierarchy));
     }
@@ -252,20 +152,5 @@ mod tests {
     fn zero_arity_rejected() {
         let err = Hierarchy::from_pairs([("node", 2), ("gpu", 0)]).unwrap_err();
         assert!(matches!(err, TopologyError::ZeroArity { .. }));
-    }
-
-    #[test]
-    fn device_names_follow_levels() {
-        let h = figure2a();
-        assert_eq!(h.device_name(0).unwrap(), "rack0/server0/CPU0/GPU0");
-        assert_eq!(h.device_name(15).unwrap(), "rack0/server1/CPU1/GPU3");
-    }
-
-    #[test]
-    fn ranks_are_row_major_level0_most_significant() {
-        let h = Hierarchy::from_arities(&[2, 3]).unwrap();
-        assert_eq!(h.rank_to_coord(0).unwrap().digits(), &[0, 0]);
-        assert_eq!(h.rank_to_coord(3).unwrap().digits(), &[1, 0]);
-        assert_eq!(h.rank_to_coord(5).unwrap().digits(), &[1, 2]);
     }
 }

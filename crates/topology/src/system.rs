@@ -122,19 +122,63 @@ impl SystemTopology {
     }
 
     /// Rank (among all instances of its level) of the ancestor of `device` at
-    /// `level`.
+    /// `level`: `device` divided by the number of devices in one instance of
+    /// `level`, because ranks are row-major with level 0 most significant.
     ///
     /// # Errors
     ///
-    /// Returns an error if `device` is out of range.
+    /// Returns [`TopologyError::DeviceOutOfRange`] if `device` is out of
+    /// range.
     pub fn ancestor_instance(&self, device: usize, level: usize) -> Result<usize, TopologyError> {
-        let coord = self.hierarchy.rank_to_coord(device)?;
-        let arities = self.hierarchy.arities();
-        let mut rank = 0usize;
-        for (l, &arity) in arities.iter().enumerate().take(level + 1) {
-            rank = rank * arity + coord.digit(l);
+        let num_devices = self.num_devices();
+        if device >= num_devices {
+            return Err(TopologyError::DeviceOutOfRange {
+                rank: device,
+                num_devices,
+            });
         }
-        Ok(rank)
+        let below: usize = self
+            .hierarchy
+            .levels()
+            .iter()
+            .skip(level + 1)
+            .map(|l| l.arity())
+            .product();
+        Ok(device / below)
+    }
+
+    /// The uplinks a point-to-point transfer from `src` to `dst` crosses, each
+    /// paired with its direction: `true` for the sender's side (the traffic
+    /// leaves the uplink's subtree), `false` for the receiver's.
+    ///
+    /// From the outermost level at which the two devices' ancestors differ
+    /// down to the devices themselves, the transfer leaves through the
+    /// sender's ancestor uplink and enters through the receiver's. As a set
+    /// this is [`SystemTopology::used_uplinks`]`(&[src, dst])`. Nothing is
+    /// crossed when `src == dst` or either device is out of range. The
+    /// iterator allocates nothing.
+    pub fn route(&self, src: usize, dst: usize) -> impl Iterator<Item = (Uplink, bool)> + '_ {
+        let num_devices = self.num_devices();
+        // Equal or out-of-range devices cross no level.
+        let levels = if src != dst && src < num_devices && dst < num_devices {
+            self.hierarchy.depth()
+        } else {
+            0
+        };
+        // Devices per instance of the current level.
+        let mut span = num_devices;
+        self.hierarchy
+            .levels()
+            .iter()
+            .take(levels)
+            .enumerate()
+            .flat_map(move |(level, l)| {
+                span /= l.arity();
+                let (from, to) = (src / span, dst / span);
+                let uplink = |instance| Uplink { level, instance };
+                let hops = [(uplink(from), true), (uplink(to), false)];
+                (from != to).then_some(hops).into_iter().flatten()
+            })
     }
 
     /// The set of uplinks used when the devices of `group` communicate with
@@ -232,8 +276,60 @@ mod tests {
         assert_eq!(sys.ancestor_instance(0, 0).unwrap(), 0);
         assert_eq!(sys.ancestor_instance(5, 0).unwrap(), 1);
         assert_eq!(sys.ancestor_instance(5, 1).unwrap(), 5);
+        assert_eq!(
+            sys.ancestor_instance(8, 0),
+            Err(TopologyError::DeviceOutOfRange {
+                rank: 8,
+                num_devices: 8
+            })
+        );
         assert_eq!(sys.instances_at_level(0), 2);
         assert_eq!(sys.instances_at_level(1), 8);
+    }
+
+    #[test]
+    fn route_is_used_uplinks_directed_by_the_sender_on_every_preset() {
+        use crate::presets::*;
+        let systems = [
+            a100_system(1),
+            a100_system(4),
+            v100_system(2),
+            v100_pcie_system(2),
+            rack_node_gpu_system(2, 2, 4),
+            rack_node_gpu_system_oversubscribed(2, 2, 4, 4.0),
+            figure2a_system(),
+        ];
+        for sys in &systems {
+            let n = sys.num_devices();
+            let arities = sys.hierarchy().arities();
+            // Ranks are row-major with level 0 most significant.
+            for level in 0..arities.len() {
+                let below: usize = arities[level + 1..].iter().product();
+                for device in 0..n {
+                    assert_eq!(sys.ancestor_instance(device, level), Ok(device / below));
+                }
+            }
+            for src in 0..=n {
+                for dst in 0..=n {
+                    let route: Vec<(Uplink, bool)> = sys.route(src, dst).collect();
+                    if src == dst || src == n || dst == n {
+                        assert!(route.is_empty(), "{}: {src} -> {dst}", sys.name());
+                    }
+                    let mut uplinks: Vec<Uplink> = route.iter().map(|&(u, _)| u).collect();
+                    uplinks.sort_unstable();
+                    assert_eq!(
+                        uplinks,
+                        sys.used_uplinks(&[src, dst]),
+                        "{}: {src} -> {dst}",
+                        sys.name()
+                    );
+                    for (uplink, outbound) in route {
+                        let sender = sys.ancestor_instance(src, uplink.level);
+                        assert_eq!(outbound, sender == Ok(uplink.instance));
+                    }
+                }
+            }
+        }
     }
 
     #[test]
