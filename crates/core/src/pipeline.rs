@@ -371,8 +371,9 @@ impl P2 {
             .collect();
         // Measurements fan out as scheduler jobs (each clones its lowered
         // program, so nothing borrows the result being patched); noise depends
-        // only on the seed and program content and the per-job executor is
-        // stateless, so the values match a serial run exactly.
+        // only on the seed and program content, and a per-job executor's step
+        // memo only saves work and never changes a value, so the values match
+        // a serial run exactly.
         let handles: Vec<JobHandle<Result<f64, P2Error>>> = chosen
             .iter()
             .map(|&(pi, qi)| {

@@ -7,7 +7,7 @@ use p2_topology::SystemTopology;
 use crate::algo::NcclAlgo;
 use crate::error::CostError;
 use crate::model::{CostModel, StepCost};
-use crate::patterns::{group_traffic_terms, step_cost_with};
+use crate::patterns::{step_cost_with, GroupTerms};
 
 /// The paper's analytic simulator: predicts the end-to-end time of a lowered
 /// reduction program on a hierarchical system.
@@ -54,6 +54,11 @@ impl AlphaBetaModel {
     pub fn algo(&self) -> NcclAlgo {
         self.algo
     }
+
+    /// α–β: the contention-inflated bandwidth term plus `rounds × latency`.
+    pub(crate) fn group_seconds(&self, t: &GroupTerms) -> f64 {
+        t.bandwidth_seconds + t.rounds * t.wire_latency
+    }
 }
 
 impl CostModel for AlphaBetaModel {
@@ -69,22 +74,9 @@ impl CostModel for AlphaBetaModel {
         self.bytes_per_device
     }
 
-    /// α–β: the contention-inflated bandwidth term plus `rounds × latency`.
     fn step_cost(&self, step: &LoweredStep) -> StepCost {
-        step_cost_with(&self.system, step, |group, uplinks, usage| {
-            let bytes = self.bytes_per_device * group.input_fraction;
-            match group_traffic_terms(
-                &self.system,
-                step.collective,
-                self.algo,
-                group,
-                uplinks,
-                usage,
-                bytes,
-            ) {
-                Some(t) => t.bandwidth_seconds + t.rounds * t.wire_latency,
-                None => 0.0,
-            }
+        step_cost_with(&self.system, step, self.algo, self.bytes_per_device, |t| {
+            self.group_seconds(t)
         })
     }
 }

@@ -7,7 +7,7 @@ use p2_topology::SystemTopology;
 use crate::algo::NcclAlgo;
 use crate::error::CostError;
 use crate::model::{CostModel, StepCost};
-use crate::patterns::{group_traffic_terms, step_cost_with};
+use crate::patterns::{step_cost_with, GroupTerms};
 
 /// Default per-message CPU/NIC injection overhead `o`, in seconds.
 pub const DEFAULT_OVERHEAD: f64 = 1.0e-6;
@@ -99,6 +99,14 @@ impl LogGpModel {
     pub fn algo(&self) -> NcclAlgo {
         self.algo
     }
+
+    /// LogGP: the shared G term (contention-inflated gap-per-byte through
+    /// the slowest uplink) plus `rounds × (L + 2o + g)` — every round pays
+    /// the wire latency, the send+receive overhead, and the gap before the
+    /// next message can be injected.
+    pub(crate) fn group_seconds(&self, t: &GroupTerms) -> f64 {
+        t.bandwidth_seconds + t.rounds * (t.wire_latency + 2.0 * self.overhead + self.gap)
+    }
 }
 
 impl CostModel for LogGpModel {
@@ -114,28 +122,9 @@ impl CostModel for LogGpModel {
         self.bytes_per_device
     }
 
-    /// LogGP: the shared G term (contention-inflated gap-per-byte through
-    /// the slowest uplink) plus `rounds × (L + 2o + g)` — every round pays
-    /// the wire latency, the send+receive overhead, and the gap before the
-    /// next message can be injected.
     fn step_cost(&self, step: &LoweredStep) -> StepCost {
-        step_cost_with(&self.system, step, |group, uplinks, usage| {
-            let bytes = self.bytes_per_device * group.input_fraction;
-            match group_traffic_terms(
-                &self.system,
-                step.collective,
-                self.algo,
-                group,
-                uplinks,
-                usage,
-                bytes,
-            ) {
-                Some(t) => {
-                    t.bandwidth_seconds
-                        + t.rounds * (t.wire_latency + 2.0 * self.overhead + self.gap)
-                }
-                None => 0.0,
-            }
+        step_cost_with(&self.system, step, self.algo, self.bytes_per_device, |t| {
+            self.group_seconds(t)
         })
     }
 }

@@ -6,13 +6,14 @@
 //! build per-edge totals and round counts from them; the `p2_exec` substrate
 //! builds per-round transfers from the same shapes. The rest of the module
 //! is the contention-aware per-uplink aggregation every model's bandwidth
-//! term is built from.
-
-use std::collections::HashMap;
+//! term is built from. It is dense: a step counts each uplink's concurrent
+//! groups in an array indexed by [`SystemTopology::uplink_index`], and sums
+//! each group's directional traffic in one reused [`UplinkLoads`], so a
+//! group costs in proportion to the uplinks it crosses.
 
 use p2_collectives::Collective;
-use p2_synthesis::{GroupExec, LoweredStep};
-use p2_topology::{SystemTopology, Uplink};
+use p2_synthesis::LoweredStep;
+use p2_topology::{SystemTopology, Uplink, UplinkLoads};
 
 use crate::algo::NcclAlgo;
 use crate::model::StepCost;
@@ -133,76 +134,77 @@ pub(crate) struct GroupTerms {
 }
 
 /// Aggregates one group's traffic through the system's uplinks, inflated by
-/// the step-wide `usage` contention counts — the machinery every analytic
-/// model shares; each model only decides how to combine the returned terms.
-/// Returns `None` for trivial groups (fewer than two devices, or crossing no
-/// uplink), which cost nothing.
+/// the step-wide contention counts `usage` (indexed by
+/// [`SystemTopology::uplink_index`]) — the machinery every analytic model
+/// shares. `loads` is the step's empty scratch and is left empty.
 pub(crate) fn group_traffic_terms(
     system: &SystemTopology,
     collective: Collective,
     algo: NcclAlgo,
-    group: &GroupExec,
-    uplinks: &[Uplink],
-    usage: &HashMap<Uplink, usize>,
+    devices: &[usize],
+    usage: &[usize],
+    loads: &mut UplinkLoads,
     bytes: f64,
-) -> Option<GroupTerms> {
-    if group.devices.len() < 2 || uplinks.is_empty() {
-        return None;
-    }
-    let (edges, bytes_per_edge, rounds) =
-        collective_pattern(collective, algo, &group.devices, bytes);
-    // Directional traffic through every uplink (uplinks are full-duplex:
-    // inbound and outbound bytes do not compete with each other).
-    let mut traffic: HashMap<(Uplink, bool), f64> = HashMap::new();
-    let mut wire_latency = 0.0_f64;
-    for &(src, dst) in &edges {
-        for (uplink, outbound) in system.route(src, dst) {
-            *traffic.entry((uplink, outbound)).or_insert(0.0) += bytes_per_edge;
-            wire_latency = wire_latency.max(system.link(uplink.level).latency());
-        }
-    }
-    let bandwidth_seconds = traffic
-        .iter()
-        .map(|(&(uplink, _), &bytes_through)| {
-            let contention = *usage.get(&uplink).unwrap_or(&1) as f64;
-            bytes_through * contention / system.link(uplink.level).bandwidth()
-        })
-        .fold(0.0, f64::max);
-    Some(GroupTerms {
+) -> GroupTerms {
+    let (edges, bytes_per_edge, rounds) = collective_pattern(collective, algo, devices, bytes);
+    // One addition of `bytes_per_edge` per crossing, in edge order.
+    loads.add(&edges, bytes_per_edge);
+    let (bandwidth_seconds, wire_latency) = loads.drain_max(|uplink, bytes_through| {
+        // A crossed uplink is one of the group's own, so its count
+        // includes this group.
+        let contention = usage[system.uplink_index(uplink)] as f64;
+        bytes_through * contention / system.link(uplink.level).bandwidth()
+    });
+    GroupTerms {
         bandwidth_seconds,
         wire_latency,
         rounds,
-    })
+    }
 }
 
 /// The per-step scaffold shared by the analytic models: count each uplink's
-/// concurrent users across the step's groups, hand every group (with its
-/// uplinks and the usage map) to `group_time`, and take the slowest group as
-/// the step time.
-pub(crate) fn step_cost_with<F>(
+/// concurrent users across the step's groups, turn every group's traffic
+/// ([`group_traffic_terms`], for its share `bytes_per_device ×
+/// input_fraction`) into seconds with `group_time`, and take the slowest
+/// group as the step time. Groups crossing no uplink (fewer than two
+/// distinct devices) take `0.0`.
+pub(crate) fn step_cost_with(
     system: &SystemTopology,
     step: &LoweredStep,
-    group_time: F,
-) -> StepCost
-where
-    F: Fn(&GroupExec, &[Uplink], &HashMap<Uplink, usize>) -> f64,
-{
-    let mut usage: HashMap<Uplink, usize> = HashMap::new();
+    algo: NcclAlgo,
+    bytes_per_device: f64,
+    group_time: impl Fn(&GroupTerms) -> f64,
+) -> StepCost {
+    let mut usage = vec![0usize; system.num_uplinks()];
     let group_uplinks: Vec<Vec<Uplink>> = step
         .groups
         .iter()
         .map(|g| system.used_uplinks(&g.devices))
         .collect();
-    for uplinks in &group_uplinks {
-        for &u in uplinks {
-            *usage.entry(u).or_insert(0) += 1;
-        }
+    for &uplink in group_uplinks.iter().flatten() {
+        usage[system.uplink_index(uplink)] += 1;
     }
+    let mut loads = UplinkLoads::new(system);
     let group_seconds: Vec<f64> = step
         .groups
         .iter()
         .zip(&group_uplinks)
-        .map(|(group, uplinks)| group_time(group, uplinks, &usage))
+        .map(|(group, uplinks)| {
+            if uplinks.is_empty() {
+                return 0.0;
+            }
+            let bytes = bytes_per_device * group.input_fraction;
+            let terms = group_traffic_terms(
+                system,
+                step.collective,
+                algo,
+                &group.devices,
+                &usage,
+                &mut loads,
+                bytes,
+            );
+            group_time(&terms)
+        })
         .collect();
     let seconds = group_seconds.iter().copied().fold(0.0, f64::max);
     StepCost {
@@ -212,8 +214,95 @@ where
     }
 }
 
+/// The traffic machinery before dense uplink ids, kept as the oracle the
+/// dense one is pinned against: per-group traffic and per-step usage counts
+/// in `HashMap`s.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use std::collections::HashMap;
+
+    use p2_synthesis::GroupExec;
+
+    use super::*;
+
+    fn group_traffic_terms(
+        system: &SystemTopology,
+        collective: Collective,
+        algo: NcclAlgo,
+        group: &GroupExec,
+        uplinks: &[Uplink],
+        usage: &HashMap<Uplink, usize>,
+        bytes: f64,
+    ) -> Option<GroupTerms> {
+        if group.devices.len() < 2 || uplinks.is_empty() {
+            return None;
+        }
+        let (edges, bytes_per_edge, rounds) =
+            collective_pattern(collective, algo, &group.devices, bytes);
+        let mut traffic: HashMap<(Uplink, bool), f64> = HashMap::new();
+        let mut wire_latency = 0.0_f64;
+        for &(src, dst) in &edges {
+            for (uplink, outbound) in system.route(src, dst) {
+                *traffic.entry((uplink, outbound)).or_insert(0.0) += bytes_per_edge;
+                wire_latency = wire_latency.max(system.link(uplink.level).latency());
+            }
+        }
+        let bandwidth_seconds = traffic
+            .iter()
+            .map(|(&(uplink, _), &bytes_through)| {
+                let contention = *usage.get(&uplink).unwrap_or(&1) as f64;
+                bytes_through * contention / system.link(uplink.level).bandwidth()
+            })
+            .fold(0.0, f64::max);
+        Some(GroupTerms {
+            bandwidth_seconds,
+            wire_latency,
+            rounds,
+        })
+    }
+
+    /// [`super::step_cost_with`] over the map-based traffic machinery.
+    pub(crate) fn step_cost_with(
+        system: &SystemTopology,
+        step: &LoweredStep,
+        algo: NcclAlgo,
+        bytes_per_device: f64,
+        group_time: impl Fn(&GroupTerms) -> f64,
+    ) -> StepCost {
+        let mut usage: HashMap<Uplink, usize> = HashMap::new();
+        let group_uplinks: Vec<Vec<Uplink>> = step
+            .groups
+            .iter()
+            .map(|g| system.used_uplinks(&g.devices))
+            .collect();
+        for uplinks in &group_uplinks {
+            for &u in uplinks {
+                *usage.entry(u).or_insert(0) += 1;
+            }
+        }
+        let group_seconds: Vec<f64> = step
+            .groups
+            .iter()
+            .zip(&group_uplinks)
+            .map(|(group, uplinks)| {
+                let bytes = bytes_per_device * group.input_fraction;
+                group_traffic_terms(system, step.collective, algo, group, uplinks, &usage, bytes)
+                    .map_or(0.0, |terms| group_time(&terms))
+            })
+            .collect();
+        let seconds = group_seconds.iter().copied().fold(0.0, f64::max);
+        StepCost {
+            collective: step.collective,
+            seconds,
+            group_seconds,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use p2_synthesis::GroupExec;
+
     use super::*;
 
     #[test]
@@ -231,6 +320,97 @@ mod tests {
         assert_eq!(tree_levels(&order, true), vec![vec![(2, 4)], vec![(9, 4)]]);
         assert_eq!(tree_levels(&order, false), vec![vec![(4, 9)], vec![(4, 2)]]);
         assert_eq!(nccl_order(Collective::AllReduce, &[4, 9, 2]), vec![2, 4, 9]);
+    }
+
+    #[test]
+    fn dense_traffic_matches_the_map_oracle_bit_for_bit() {
+        use std::sync::Arc;
+
+        use p2_topology::presets::*;
+
+        use crate::{AlphaBetaModel, CalibratedModel, CostModel, LogGpModel};
+
+        // SplitMix64: a fixed stream of random steps.
+        let mut state = 0x0dd5_u64;
+        let mut next = move |bound: usize| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) % bound as u64) as usize
+        };
+        let systems = [
+            a100_system(2),
+            a100_system(4),
+            v100_system(2),
+            rack_node_gpu_system(2, 2, 4),
+            rack_node_gpu_system_oversubscribed(2, 2, 4, 4.0),
+            figure2a_system(),
+        ];
+        let bytes = 1.0e9;
+        let same = |got: &StepCost, want: &StepCost, what: &str| {
+            assert_eq!(got.seconds.to_bits(), want.seconds.to_bits(), "{what}");
+            let bits = |c: &StepCost| c.group_seconds.iter().map(|s| s.to_bits()).collect();
+            let (got_bits, want_bits): (Vec<u64>, Vec<u64>) = (bits(got), bits(want));
+            assert_eq!(got_bits, want_bits, "{what}");
+        };
+        for sys in &systems {
+            let n = sys.num_devices();
+            let depth = sys.hierarchy().depth();
+            let scales: Vec<f64> = (0..depth).map(|l| 0.5 + 0.75 * l as f64).collect();
+            for algo in NcclAlgo::ALL {
+                let alpha_beta = AlphaBetaModel::new(sys.clone(), algo, bytes).unwrap();
+                let loggp = LogGpModel::new(sys.clone(), algo, bytes).unwrap();
+                let calibrated =
+                    CalibratedModel::new(Arc::new(alpha_beta.clone()), scales.clone()).unwrap();
+                for _ in 0..60 {
+                    // Up to five concurrent groups of unequal sizes, unsorted,
+                    // possibly overlapping or a lone device, some carrying
+                    // nothing.
+                    let groups = (0..1 + next(5))
+                        .map(|_| {
+                            let max_len = if next(3) == 0 { n } else { 5 };
+                            GroupExec {
+                                devices: (0..1 + next(max_len)).map(|_| next(n)).collect(),
+                                input_fraction: [0.0, 0.125, 0.5, 1.0][next(4)],
+                            }
+                        })
+                        .collect();
+                    let step = LoweredStep {
+                        collective: Collective::ALL[next(5)],
+                        groups,
+                    };
+                    let what = format!("{} {algo:?} {step:?}", sys.name());
+                    let oracle = |time: &dyn Fn(&GroupTerms) -> f64| {
+                        oracle::step_cost_with(sys, &step, algo, bytes, time)
+                    };
+                    let expected = oracle(&|t| alpha_beta.group_seconds(t));
+                    same(&alpha_beta.step_cost(&step), &expected, &what);
+                    same(
+                        &loggp.step_cost(&step),
+                        &oracle(&|t| loggp.group_seconds(t)),
+                        &what,
+                    );
+                    // The calibrated model scales each group by the level of
+                    // its outermost crossed uplink.
+                    let group_seconds: Vec<f64> = step
+                        .groups
+                        .iter()
+                        .zip(&expected.group_seconds)
+                        .map(|(g, &seconds)| {
+                            let outermost = sys.used_uplinks(&g.devices).first().map(|u| u.level);
+                            seconds * outermost.map_or(1.0, |level| scales[level])
+                        })
+                        .collect();
+                    let scaled = StepCost {
+                        collective: step.collective,
+                        seconds: group_seconds.iter().copied().fold(0.0, f64::max),
+                        group_seconds,
+                    };
+                    same(&calibrated.step_cost(&step), &scaled, &what);
+                }
+            }
+        }
     }
 
     #[test]

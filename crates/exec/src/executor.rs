@@ -1,13 +1,12 @@
 //! The round-based execution engine.
 
 use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::Mutex;
 
 use p2_collectives::FxHashMap;
 use p2_synthesis::{LoweredProgram, LoweredStep};
-use p2_topology::{SystemTopology, Uplink};
+use p2_topology::{SystemTopology, UplinkLoads};
 
 use crate::config::ExecConfig;
 use crate::error::ExecError;
@@ -179,23 +178,95 @@ impl<'a> Executor<'a> {
     /// groups' round schedules are advanced in lockstep, and within each
     /// global round every uplink's bandwidth is shared by the bytes crossing
     /// it. `None` when no group has a round.
+    ///
+    /// Each group's schedule is a list of runs of identical rounds, so the
+    /// lockstep advances a segment at a time: a segment lasts until the first
+    /// active group's run ends, and a group whose runs are exhausted drops
+    /// out. Every round of a segment moves the same transfers, so its time is
+    /// computed once and then added once per round, in order.
     fn simulate(&self, step: &LoweredStep) -> Option<f64> {
-        // Expand every group into its rounds.
+        // Expand every group into its runs of rounds.
+        let mut group_runs: Vec<_> = step
+            .groups
+            .iter()
+            .map(|g| {
+                let bytes = self.config.bytes_per_device * g.input_fraction;
+                collective_rounds(step.collective, self.config.algo, g, bytes).into_iter()
+            })
+            .collect();
+        // Every group's current run with the rounds left in it, `None` once
+        // the group's runs are exhausted.
+        let mut current: Vec<Option<(Round, usize)>> =
+            group_runs.iter_mut().map(Iterator::next).collect();
+        if current.iter().all(Option::is_none) {
+            return None;
+        }
+        let mut loads = UplinkLoads::new(self.system);
+        let mut total = 0.0;
+        while let Some(segment) = current.iter().flatten().map(|&(_, left)| left).min() {
+            // Aggregate the directional load on every uplink across the
+            // active groups, in group order.
+            for (round, _) in current.iter().flatten() {
+                loads.add(&round.transfers, round.bytes);
+            }
+            let (round_time, latency) =
+                loads.drain_max(|uplink, bytes| bytes / self.system.link(uplink.level).bandwidth());
+            // Repeated additions, never a product, reproduce the per-round sum.
+            let time = round_time + latency;
+            for _ in 0..segment {
+                total += time;
+            }
+            for (run, runs) in current.iter_mut().zip(&mut group_runs) {
+                if let Some((_, left)) = run {
+                    *left -= segment;
+                    if *left == 0 {
+                        *run = runs.next();
+                    }
+                }
+            }
+        }
+        Some(total + self.config.launch_overhead)
+    }
+}
+
+/// The measurement path before the step memo and before runs of rounds,
+/// kept as the oracle the production one is pinned against: every run
+/// re-simulates every step before drawing its noise, and a step is
+/// simulated one round at a time with its loads in a `HashMap`.
+#[cfg(test)]
+impl Executor<'_> {
+    fn measure_once_unmemoized(&self, program: &LoweredProgram, run: u64) -> f64 {
+        let mut rng = self.rng_for(program, run);
+        program.steps.iter().fold(0.0, |acc, step| {
+            acc + self
+                .simulate_per_round(step)
+                .map_or(0.0, |time| time * self.noise(&mut rng))
+        })
+    }
+
+    fn measure_runs_unmemoized(&self, program: &LoweredProgram) -> Vec<f64> {
+        (0..self.config.repeats)
+            .map(|run| self.measure_once_unmemoized(program, run as u64))
+            .collect()
+    }
+
+    fn simulate_per_round(&self, step: &LoweredStep) -> Option<f64> {
+        use std::collections::HashMap;
+
+        use crate::schedule::expanded_rounds;
+
         let group_rounds: Vec<Vec<Round>> = step
             .groups
             .iter()
             .map(|g| {
                 let bytes = self.config.bytes_per_device * g.input_fraction;
-                collective_rounds(step.collective, self.config.algo, g, bytes)
+                expanded_rounds(step.collective, self.config.algo, g, bytes)
             })
             .collect();
         let max_rounds = group_rounds.iter().map(Vec::len).max().unwrap_or(0);
         let mut total = 0.0;
         for round_idx in 0..max_rounds {
-            // Aggregate the directional load on every uplink across all groups
-            // (uplinks are full-duplex: inbound and outbound bytes do not
-            // compete with each other).
-            let mut load: HashMap<(Uplink, bool), f64> = HashMap::new();
+            let mut load: HashMap<(p2_topology::Uplink, bool), f64> = HashMap::new();
             let mut latency = 0.0_f64;
             for rounds in &group_rounds {
                 let Some(round) = rounds.get(round_idx) else {
@@ -218,27 +289,6 @@ impl<'a> Executor<'a> {
             return None;
         }
         Some(total + self.config.launch_overhead)
-    }
-}
-
-/// The measurement path before the step memo, kept as the oracle the
-/// memoized one is pinned against: every run re-simulates every step before
-/// drawing its noise.
-#[cfg(test)]
-impl Executor<'_> {
-    fn measure_once_unmemoized(&self, program: &LoweredProgram, run: u64) -> f64 {
-        let mut rng = self.rng_for(program, run);
-        program.steps.iter().fold(0.0, |acc, step| {
-            acc + self
-                .simulate(step)
-                .map_or(0.0, |time| time * self.noise(&mut rng))
-        })
-    }
-
-    fn measure_runs_unmemoized(&self, program: &LoweredProgram) -> Vec<f64> {
-        (0..self.config.repeats)
-            .map(|run| self.measure_once_unmemoized(program, run as u64))
-            .collect()
     }
 }
 
@@ -436,6 +486,61 @@ mod tests {
                             mean.to_bits(),
                             "{algo:?} noise {noise} repeats {repeats}: {}",
                             program.signature()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn run_based_simulation_matches_the_per_round_oracle_bit_for_bit() {
+        use p2_collectives::Collective;
+
+        let systems = [
+            presets::a100_system(2),
+            presets::a100_system(4),
+            presets::v100_system(2),
+            presets::rack_node_gpu_system(2, 2, 4),
+            presets::figure2a_system(),
+        ];
+        let mut rng = NoiseRng::seed_from_u64(0x5eed);
+        let mut next = move |bound: usize| (rng.next_f64() * bound as f64) as usize;
+        for sys in &systems {
+            let n = sys.num_devices();
+            for algo in NcclAlgo::ALL {
+                let exec = Executor::new(sys, ExecConfig::new(algo, GB)).unwrap();
+                for collective in Collective::ALL {
+                    let mut steps = vec![LoweredStep {
+                        collective,
+                        groups: vec![GroupExec {
+                            devices: (0..n).collect(),
+                            input_fraction: 1.0,
+                        }],
+                    }];
+                    for _ in 0..40 {
+                        // Up to six concurrent groups of unequal sizes (so they
+                        // leave the lockstep at different rounds), unsorted,
+                        // possibly overlapping or a lone device, some
+                        // carrying nothing; a rooted collective's root is
+                        // whichever device comes first.
+                        let groups = (0..1 + next(6))
+                            .map(|_| {
+                                let max_len = if next(3) == 0 { n } else { 9 };
+                                GroupExec {
+                                    devices: (0..1 + next(max_len)).map(|_| next(n)).collect(),
+                                    input_fraction: [0.0, 0.25, 0.5, 1.0][next(4)],
+                                }
+                            })
+                            .collect();
+                        steps.push(LoweredStep { collective, groups });
+                    }
+                    for step in &steps {
+                        assert_eq!(
+                            exec.simulate(step).map(f64::to_bits),
+                            exec.simulate_per_round(step).map(f64::to_bits),
+                            "{} {algo:?} {step:?}",
+                            sys.name()
                         );
                     }
                 }

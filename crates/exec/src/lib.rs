@@ -17,9 +17,16 @@
 //! The analytic model in [`p2_cost`] plays the role of the paper's simulator;
 //! this crate plays the role of the paper's measurements. The two share one
 //! traffic model: the rounds are built from NCCL's ring, chain and tree shapes
-//! in [`p2_cost::patterns`], and every transfer crosses the uplinks
-//! [`p2_topology::SystemTopology::route`] names. Only the byte and time
-//! formulas are the substrate's own.
+//! in [`p2_cost::patterns`], every transfer crosses the uplinks
+//! [`p2_topology::SystemTopology::route`] names, and the loads are summed per
+//! uplink and direction in a dense [`p2_topology::UplinkLoads`]. Only the byte
+//! and time formulas are the substrate's own.
+//!
+//! A collective's rounds come as runs of identical rounds (a ring's 2(n−1)
+//! rounds are one run), and the simulator times each run of rounds that the
+//! concurrent groups share once, then adds that time once per round. A step
+//! therefore costs in proportion to its distinct rounds and the uplinks they
+//! cross, and its time has the same bits as a round-by-round simulation.
 //!
 //! # Example
 //!

@@ -1,5 +1,6 @@
-//! Expansion of collective calls into rounds of point-to-point transfers,
-//! built on the NCCL shapes of [`p2_cost::patterns`].
+//! Expansion of collective calls into runs of identical rounds of
+//! point-to-point transfers, built on the NCCL shapes of
+//! [`p2_cost::patterns`].
 
 use p2_collectives::Collective;
 use p2_cost::patterns::{chain_edges, nccl_order, ring_edges, tree_levels};
@@ -16,7 +17,9 @@ pub(crate) struct Round {
 
 /// Expands one collective over one device group into its rounds of
 /// point-to-point transfers, following the structure of NCCL's ring and tree
-/// algorithms.
+/// algorithms. Consecutive identical rounds come as one run, `(round,
+/// count)` with `count >= 1`: a ring or chain schedule is a single run, a
+/// tree schedule one run per level.
 ///
 /// `bytes` is the per-participant payload of the call (the full buffer for an
 /// AllReduce, the per-rank block for an AllGather, …). Groups with fewer than
@@ -26,19 +29,19 @@ pub(crate) fn collective_rounds(
     algo: NcclAlgo,
     group: &GroupExec,
     bytes: f64,
-) -> Vec<Round> {
+) -> Vec<(Round, usize)> {
     let n = group.devices.len();
     if n < 2 || bytes <= 0.0 {
         return Vec::new();
     }
     let order = nccl_order(collective, &group.devices);
     // `count` rounds over the same transfers, each moving `bytes`.
-    let repeat = |transfers, count, bytes| vec![Round { transfers, bytes }; count];
+    let repeat = |transfers, count, bytes| vec![(Round { transfers, bytes }, count)];
     // One full-payload round per binomial-tree level.
     let tree = |toward_root| {
         tree_levels(&order, toward_root)
             .into_iter()
-            .map(|transfers| Round { transfers, bytes })
+            .map(|transfers| (Round { transfers, bytes }, 1))
     };
     match (collective, algo) {
         (Collective::AllReduce, NcclAlgo::Ring) => {
@@ -59,6 +62,21 @@ pub(crate) fn collective_rounds(
             repeat(chain_edges(&order, false), n - 1, bytes / (n - 1) as f64)
         }
     }
+}
+
+/// Every round of a collective's runs, in order: the per-round schedule the
+/// runs stand for.
+#[cfg(test)]
+pub(crate) fn expanded_rounds(
+    collective: Collective,
+    algo: NcclAlgo,
+    group: &GroupExec,
+    bytes: f64,
+) -> Vec<Round> {
+    collective_rounds(collective, algo, group, bytes)
+        .into_iter()
+        .flat_map(|(round, count)| vec![round; count])
+        .collect()
 }
 
 #[cfg(test)]
@@ -83,7 +101,7 @@ mod tests {
     #[test]
     fn ring_allreduce_round_structure() {
         let g = group(vec![0, 1, 2, 3]);
-        let rounds = collective_rounds(Collective::AllReduce, NcclAlgo::Ring, &g, 4.0);
+        let rounds = expanded_rounds(Collective::AllReduce, NcclAlgo::Ring, &g, 4.0);
         assert_eq!(rounds.len(), 6); // 2 * (4 - 1)
         for round in &rounds {
             assert_eq!(round.transfers.len(), 4);
@@ -97,7 +115,7 @@ mod tests {
     #[test]
     fn tree_allreduce_is_reduce_then_broadcast() {
         let g = group(vec![0, 1, 2, 3, 4]);
-        let rounds = collective_rounds(Collective::AllReduce, NcclAlgo::Tree, &g, 8.0);
+        let rounds = expanded_rounds(Collective::AllReduce, NcclAlgo::Tree, &g, 8.0);
         assert_eq!(rounds.len(), 6); // ceil(log2 5) = 3 up + 3 down
         assert!(rounds.iter().all(|r| r.bytes == 8.0));
         // The first reduce round pairs neighbours; the final broadcast round
@@ -114,7 +132,7 @@ mod tests {
     #[test]
     fn reduce_tree_converges_on_root() {
         let g = group(vec![10, 11, 12, 13]);
-        let rounds = collective_rounds(Collective::Reduce, NcclAlgo::Tree, &g, 1.0);
+        let rounds = expanded_rounds(Collective::Reduce, NcclAlgo::Tree, &g, 1.0);
         assert_eq!(rounds.len(), 2);
         // Last round must deliver into the root (device 10).
         assert!(rounds
@@ -130,7 +148,7 @@ mod tests {
     #[test]
     fn broadcast_chain_moves_full_payload_over_each_link() {
         let g = group(vec![0, 1, 2]);
-        let rounds = collective_rounds(Collective::Broadcast, NcclAlgo::Ring, &g, 6.0);
+        let rounds = expanded_rounds(Collective::Broadcast, NcclAlgo::Ring, &g, 6.0);
         assert_eq!(rounds.len(), 2);
         let over_first_link = bytes_over(&rounds, |src, dst| src == 0 && dst == 1);
         assert!((over_first_link - 6.0).abs() < 1e-12);
@@ -139,16 +157,38 @@ mod tests {
     #[test]
     fn allgather_rounds_carry_per_rank_blocks() {
         let g = group(vec![0, 1, 2, 3]);
-        let rounds = collective_rounds(Collective::AllGather, NcclAlgo::Ring, &g, 2.0);
+        let rounds = expanded_rounds(Collective::AllGather, NcclAlgo::Ring, &g, 2.0);
         assert_eq!(rounds.len(), 3);
         assert!(rounds.iter().all(|r| (r.bytes - 2.0).abs() < 1e-12));
     }
 
     #[test]
+    fn rings_and_chains_are_one_run_and_trees_one_run_per_level() {
+        let g = group(vec![3, 0, 2, 1, 4]);
+        for collective in Collective::ALL {
+            for algo in NcclAlgo::ALL {
+                let counts: Vec<usize> = collective_rounds(collective, algo, &g, 5.0)
+                    .iter()
+                    .map(|&(_, count)| count)
+                    .collect();
+                // ceil(log2 5) = 3 tree levels per direction; a ring or a
+                // chain repeats one round n - 1 = 4 times per phase.
+                let expected = match (collective, algo) {
+                    (Collective::AllReduce, NcclAlgo::Tree) => vec![1; 6],
+                    (Collective::Reduce | Collective::Broadcast, NcclAlgo::Tree) => vec![1; 3],
+                    (Collective::AllReduce, NcclAlgo::Ring) => vec![8],
+                    _ => vec![4],
+                };
+                assert_eq!(counts, expected, "{collective:?} {algo:?}");
+            }
+        }
+    }
+
+    #[test]
     fn trivial_groups_produce_no_rounds() {
         let g = group(vec![5]);
-        assert!(collective_rounds(Collective::AllReduce, NcclAlgo::Ring, &g, 1.0).is_empty());
+        assert!(expanded_rounds(Collective::AllReduce, NcclAlgo::Ring, &g, 1.0).is_empty());
         let g2 = group(vec![0, 1]);
-        assert!(collective_rounds(Collective::AllReduce, NcclAlgo::Ring, &g2, 0.0).is_empty());
+        assert!(expanded_rounds(Collective::AllReduce, NcclAlgo::Ring, &g2, 0.0).is_empty());
     }
 }

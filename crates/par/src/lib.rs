@@ -492,12 +492,27 @@ pub fn scope_with<'env, T>(
     // the scope closure are dropped before the scope joins its threads.
     let state: SchedulerState<'env> = SchedulerState::new(threads, options.seed);
     std::thread::scope(|ts| {
-        for id in 0..threads {
-            let state = &state;
-            ts.spawn(move || state.worker(id));
+        let workers: Vec<_> = (0..threads)
+            .map(|id| {
+                let state = &state;
+                ts.spawn(move || state.worker(id))
+            })
+            .collect();
+        let value = {
+            let _shutdown = ShutdownGuard(&state);
+            f(&Scheduler { state: &state })
+        };
+        // Join the workers instead of leaving it to the scope, which only
+        // waits for their closures to return: glibc's malloc frees a
+        // thread's arena for reuse only once the thread has exited, so pools
+        // spawned one after another would otherwise keep creating arenas,
+        // and resident memory would grow with the number of pools.
+        for worker in workers {
+            if let Err(panic) = worker.join() {
+                std::panic::resume_unwind(panic);
+            }
         }
-        let _shutdown = ShutdownGuard(&state);
-        f(&Scheduler { state: &state })
+        value
     })
 }
 

@@ -423,6 +423,12 @@ impl Planner {
                 }
                 drop(store);
                 let mut queue = inner.queue.lock().expect("queue poisoned");
+                // Check again under the queue lock, which `shutdown` sets the
+                // flag under: a request queued after the worker's final drain
+                // would wait forever.
+                if inner.shutdown.load(Ordering::Acquire) {
+                    return Err(ServiceError::ShuttingDown);
+                }
                 if queue.len() >= inner.config.queue_capacity {
                     inner.stats.rejected.fetch_add(1, Ordering::Relaxed);
                     return Err(ServiceError::Overloaded {
@@ -785,6 +791,75 @@ mod tests {
         for (a, b) in second.plan.entries.iter().zip(&reference.entries) {
             assert_eq!(a.predicted_seconds.to_bits(), b.predicted_seconds.to_bits());
             assert_eq!(a.measured_seconds.to_bits(), b.measured_seconds.to_bits());
+        }
+    }
+
+    /// Clients keep issuing cache-missing requests while `shutdown` runs.
+    /// Each must end in `ShuttingDown`; none may wait forever, as a request
+    /// queued after the worker's final drain would.
+    #[test]
+    fn requests_racing_shutdown_end_in_shutting_down_instead_of_hanging() {
+        use std::sync::{mpsc, Barrier};
+        for iteration in 0..600usize {
+            let config = PlannerConfig {
+                threads: 1,
+                ..PlannerConfig::default()
+            };
+            let planner = Arc::new(Planner::new(config).unwrap());
+            let clients = 1 + iteration % 4;
+            let start = Arc::new(Barrier::new(clients + 1));
+            let (answered_tx, answered) = mpsc::channel();
+            let (done_tx, done) = mpsc::channel();
+            let handles: Vec<_> = (0..clients)
+                .map(|client| {
+                    let (planner, start) = (Arc::clone(&planner), Arc::clone(&start));
+                    let (answered_tx, done_tx) = (answered_tx.clone(), done_tx.clone());
+                    std::thread::spawn(move || {
+                        start.wait();
+                        let mut count = 0usize;
+                        let outcome = loop {
+                            // A distinct buffer size per request: every one
+                            // misses the cache and is queued.
+                            let bytes = 1.0e6 * (1 + client + 4 * count) as f64;
+                            let request = PlanRequest::new(
+                                p2_topology::presets::a100_system(1),
+                                vec![16],
+                                vec![0],
+                            )
+                            .with_max_program_size(1)
+                            .with_repeats(1)
+                            .with_bytes_per_device(bytes);
+                            match planner.plan("race", request) {
+                                Ok(_) => {
+                                    count += 1;
+                                    let _ = answered_tx.send(());
+                                }
+                                Err(ServiceError::ShuttingDown) => break Ok(count),
+                                Err(other) => break Err(other),
+                            }
+                        };
+                        let _ = done_tx.send(outcome);
+                    })
+                })
+                .collect();
+            // Shut down as the clients start, or once they have been answered
+            // a few times and are mid-stream.
+            start.wait();
+            for _ in 0..iteration % 3 {
+                answered
+                    .recv_timeout(Duration::from_secs(20))
+                    .expect("a request is answered before shutdown");
+            }
+            planner.shutdown();
+            for _ in 0..clients {
+                let outcome = done
+                    .recv_timeout(Duration::from_secs(20))
+                    .unwrap_or_else(|_| panic!("iteration {iteration}: a client never returned"));
+                assert!(outcome.is_ok(), "iteration {iteration}: {outcome:?}");
+            }
+            for handle in handles {
+                handle.join().expect("client thread");
+            }
         }
     }
 

@@ -12,8 +12,11 @@
 //! ancestor at any level is plain division
 //! ([`SystemTopology::ancestor_instance`]). [`SystemTopology::route`] is the
 //! one routing rule: the uplinks a point-to-point transfer crosses, and in
-//! which direction. The cost models and the execution simulator both route
-//! every transfer through it.
+//! which direction. Uplinks have dense ids
+//! ([`SystemTopology::uplink_index`]), and [`UplinkLoads`] sums routed
+//! bytes per uplink and direction in a plain array indexed by them. The cost
+//! models and the execution simulator both route and sum every transfer
+//! through these.
 //!
 //! # Example
 //!
@@ -34,12 +37,14 @@
 mod error;
 mod hierarchy;
 mod interconnect;
+mod loads;
 pub mod presets;
 mod system;
 
 pub use error::TopologyError;
 pub use hierarchy::{Hierarchy, Level};
 pub use interconnect::Interconnect;
+pub use loads::UplinkLoads;
 pub use system::{SystemTopology, Uplink};
 
 /// Convenience constant: one gigabyte per second, in bytes per second.

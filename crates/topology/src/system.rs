@@ -1,5 +1,3 @@
-use std::collections::BTreeSet;
-
 use crate::error::TopologyError;
 use crate::hierarchy::Hierarchy;
 use crate::interconnect::Interconnect;
@@ -44,6 +42,10 @@ pub struct SystemTopology {
     hierarchy: Hierarchy,
     links: Vec<Interconnect>,
     name: String,
+    /// `uplink_offsets[l]` is the dense id of the first level-`l` uplink: the
+    /// prefix sums of [`SystemTopology::instances_at_level`], with the total
+    /// uplink count last. Derived from `hierarchy` once, in `new`.
+    uplink_offsets: Vec<usize>,
 }
 
 impl SystemTopology {
@@ -60,10 +62,18 @@ impl SystemTopology {
                 links: links.len(),
             });
         }
+        let mut uplink_offsets = vec![0];
+        let (mut instances, mut uplinks) = (1, 0);
+        for level in hierarchy.levels() {
+            instances *= level.arity();
+            uplinks += instances;
+            uplink_offsets.push(uplinks);
+        }
         Ok(SystemTopology {
             hierarchy,
             links,
             name: "custom".to_string(),
+            uplink_offsets,
         })
     }
 
@@ -118,7 +128,31 @@ impl SystemTopology {
     ///
     /// Panics if `level` is out of range.
     pub fn instances_at_level(&self, level: usize) -> usize {
-        self.hierarchy.arities()[..=level].iter().product()
+        self.uplink_offsets[level + 1] - self.uplink_offsets[level]
+    }
+
+    /// Total number of uplinks: one per instance of every level, the sum of
+    /// [`SystemTopology::instances_at_level`] over all levels.
+    pub fn num_uplinks(&self) -> usize {
+        self.uplink_offsets[self.hierarchy.depth()]
+    }
+
+    /// The dense id of an uplink of this system, in `0..num_uplinks()`: the
+    /// number of uplinks at the levels above `uplink.level`, plus its
+    /// instance. Ids follow the `(level, instance)` order, so per-uplink
+    /// values can live in a plain array instead of a map.
+    ///
+    /// `uplink.instance` must be below
+    /// [`SystemTopology::instances_at_level`]`(uplink.level)` (checked in
+    /// debug builds only).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `uplink.level` is out of range.
+    pub fn uplink_index(&self, uplink: Uplink) -> usize {
+        let first = self.uplink_offsets[uplink.level];
+        debug_assert!(first + uplink.instance < self.uplink_offsets[uplink.level + 1]);
+        first + uplink.instance
     }
 
     /// Rank (among all instances of its level) of the ancestor of `device` at
@@ -193,47 +227,52 @@ impl SystemTopology {
     /// the system are ignored by this method (callers validate ranks when the
     /// groups are built).
     pub fn used_uplinks(&self, group: &[usize]) -> Vec<Uplink> {
+        let num_devices = self.num_devices();
+        let mut used = Vec::new();
         if group.len() < 2 {
-            return Vec::new();
+            return used;
         }
-        let depth = self.hierarchy.depth();
-        let mut used = BTreeSet::new();
-        // For every level, bucket the group's members by ancestor instance.
-        for level in 0..depth {
-            let mut instances = BTreeSet::new();
-            for &d in group {
-                if d >= self.num_devices() {
-                    continue;
-                }
-                if let Ok(inst) = self.ancestor_instance(d, level) {
-                    instances.insert(inst);
-                }
-            }
-            // If the group occupies more than one instance at this level, then
-            // each occupied instance's uplink carries traffic (members inside
-            // it must talk to members outside it). We additionally require
-            // that the instances share a parent *or not*: either way the
-            // traffic leaves the subtree through the uplink, so the rule is
-            // simply "more than one occupied instance at this level".
+        // A device's ancestor is its rank divided by the devices per
+        // instance, which is monotone in the rank: with the members sorted,
+        // every level's ancestors come out sorted, and deduplicating them
+        // leaves the occupied instances in order.
+        let mut members: Vec<usize> = group.iter().copied().filter(|&d| d < num_devices).collect();
+        members.sort_unstable();
+        let mut instances = Vec::with_capacity(members.len());
+        // Devices per instance of the current level.
+        let mut span = num_devices;
+        for (level, l) in self.hierarchy.levels().iter().enumerate() {
+            span /= l.arity();
+            instances.clear();
+            instances.extend(members.iter().map(|&d| d / span));
+            instances.dedup();
+            // Members in more than one instance at this level must talk
+            // across it, so every occupied instance's uplink carries traffic.
             if instances.len() > 1 {
-                for inst in instances {
-                    used.insert(Uplink {
-                        level,
-                        instance: inst,
-                    });
-                }
+                used.extend(instances.iter().map(|&instance| Uplink { level, instance }));
             }
         }
-        used.into_iter().collect()
+        used
     }
 
     /// The outermost level at which the members of `group` differ, or `None`
-    /// when the group has fewer than two distinct devices.
+    /// when the group has fewer than two distinct devices. Devices outside
+    /// the system are ignored, as in [`SystemTopology::used_uplinks`], whose
+    /// first uplink is at this level. Allocates nothing.
     ///
     /// This is the level of the slowest interconnect the group must cross.
     pub fn span_level(&self, group: &[usize]) -> Option<usize> {
-        let uplinks = self.used_uplinks(group);
-        uplinks.first().map(|u| u.level)
+        let num_devices = self.num_devices();
+        let mut members = group.iter().copied().filter(|&d| d < num_devices);
+        let first = members.next()?;
+        // Ancestors are monotone in the rank, so the members differ at a
+        // level exactly when the lowest and the highest do.
+        let (low, high) = members.fold((first, first), |(lo, hi), d| (lo.min(d), hi.max(d)));
+        let mut span = num_devices;
+        self.hierarchy.levels().iter().position(|l| {
+            span /= l.arity();
+            low / span != high / span
+        })
     }
 
     /// The bandwidth (bytes/s) of the slowest interconnect spanned by `group`,
@@ -329,6 +368,98 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// Every preset, including ones with a single-instance level.
+    fn all_presets() -> Vec<SystemTopology> {
+        use crate::presets::*;
+        vec![
+            a100_system(1),
+            a100_system(2),
+            a100_system(4),
+            v100_system(2),
+            v100_pcie_system(2),
+            rack_node_gpu_system(2, 2, 4),
+            rack_node_gpu_system_oversubscribed(2, 2, 4, 4.0),
+            figure2a_system(),
+        ]
+    }
+
+    /// `used_uplinks` as it was written before dense ids: one `BTreeSet` of
+    /// occupied instances per level.
+    fn used_uplinks_oracle(sys: &SystemTopology, group: &[usize]) -> Vec<Uplink> {
+        use std::collections::BTreeSet;
+        if group.len() < 2 {
+            return Vec::new();
+        }
+        let mut used = BTreeSet::new();
+        for level in 0..sys.hierarchy().depth() {
+            let instances: BTreeSet<usize> = group
+                .iter()
+                .filter_map(|&d| sys.ancestor_instance(d, level).ok())
+                .collect();
+            if instances.len() > 1 {
+                used.extend(
+                    instances
+                        .into_iter()
+                        .map(|instance| Uplink { level, instance }),
+                );
+            }
+        }
+        used.into_iter().collect()
+    }
+
+    #[test]
+    fn used_uplinks_and_span_level_match_a_btreeset_oracle_on_every_preset() {
+        // SplitMix64: a fixed stream of random groups.
+        let mut state = 0x5eed_u64;
+        let mut next = move |bound: usize| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) % bound as u64) as usize
+        };
+        for sys in &all_presets() {
+            let n = sys.num_devices();
+            let mut groups: Vec<Vec<usize>> = vec![(0..n).collect(), (0..n).rev().collect()];
+            for _ in 0..400 {
+                // Small and large groups, unsorted, with duplicates and a
+                // few devices beyond the system.
+                let max_len = if next(4) == 0 { n + 4 } else { 6 };
+                let len = next(max_len);
+                groups.push((0..len).map(|_| next(n + 3)).collect());
+            }
+            for group in &groups {
+                let expected = used_uplinks_oracle(sys, group);
+                assert_eq!(
+                    sys.used_uplinks(group),
+                    expected,
+                    "{}: {group:?}",
+                    sys.name()
+                );
+                assert_eq!(
+                    sys.span_level(group),
+                    expected.first().map(|u| u.level),
+                    "{}: {group:?}",
+                    sys.name()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn uplink_index_is_a_bijection_onto_its_range() {
+        for sys in &all_presets() {
+            let mut seen = vec![false; sys.num_uplinks()];
+            for level in 0..sys.hierarchy().depth() {
+                for instance in 0..sys.instances_at_level(level) {
+                    let index = sys.uplink_index(Uplink { level, instance });
+                    assert!(!std::mem::replace(&mut seen[index], true), "{}", sys.name());
+                }
+            }
+            assert!(seen.iter().all(|&hit| hit), "{}", sys.name());
         }
     }
 
