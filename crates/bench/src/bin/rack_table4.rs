@@ -6,11 +6,9 @@
 //! All six (racks × oversubscription) bins run as ONE batch on one
 //! work-stealing pool ([`p2_bench::run_batch`]): placement jobs of every bin
 //! coexist in the deques, so a `--threads` budget is a global cap instead of
-//! a per-bin one. Bound sharing is on — each bin is its own sharing group
-//! (the systems differ), so within a bin cheap placements prune expensive
-//! ones through the single-pass dyadic bound, deterministically for any
-//! thread count, exactly as the old per-bin
-//! [`p2_core::SharedBoundObserver`] did.
+//! a per-bin one. Each placement keeps its 8 best predictions (`keep_top`)
+//! and each bin measures its 10 best (`Shortlist(10)`); the placement rows
+//! are identical for any thread count.
 //!
 //! Run with `cargo run --release -p p2_bench --bin rack_table4`
 //! `[-- --cost-model alpha-beta|loggp|calibrated] [--threads N]`.
@@ -27,7 +25,7 @@ fn main() {
     let kind = cost_model_from_args();
     let threads = threads_from_args(&args);
     println!("Rack-scale Table 4: AllReduce vs. synthesized optimum on the rack/node/GPU preset");
-    println!("(single-pass shared bound; cost model: {kind})\n");
+    println!("(cost model: {kind})\n");
 
     let mut bins = Vec::new();
     let mut sessions = Vec::new();
@@ -57,24 +55,18 @@ fn main() {
         }
     }
 
-    let options = BatchOptions {
-        threads,
-        share_bounds: true,
-        ..BatchOptions::default()
-    };
-    let outcome = run_batch(&sessions, &options, &()).expect("pipeline runs");
+    let outcome =
+        run_batch(&sessions, &BatchOptions::with_threads(threads), &()).expect("pipeline runs");
 
-    for (i, (result, oversubscription)) in outcome.results.iter().zip(&bins).enumerate() {
-        let bound = outcome.bounds[outcome.group_of[i]];
+    for (result, oversubscription) in outcome.results.iter().zip(&bins) {
         println!(
             "{} — core switch {oversubscription}:1: {} placements, {} programs \
-             ({} retained, {} pruned), shared bound {}",
+             ({} retained, {} pruned)",
             result.label,
             result.placements.len(),
             result.total_programs(),
             result.total_programs_retained(),
             result.total_programs_pruned(),
-            bound.map(fmt_s).unwrap_or_else(|| "-".to_string()),
         );
         let memo_hits = result.total_suffix_memo_hits();
         let memo_misses = result.total_suffix_memo_misses();
@@ -123,8 +115,8 @@ fn main() {
         }
     }
     println!(
-        "(batch: {} sharing groups on {} threads, {} steals; '*' marks the overall optimum; \
+        "(batch on {} threads, {} steals; '*' marks the overall optimum; \
          speedups are vs. each placement's own AllReduce)",
-        outcome.groups, outcome.threads, outcome.steals
+        outcome.threads, outcome.steals
     );
 }

@@ -157,8 +157,7 @@ fn main() {
                 "  \"batch_s\": {:.3},\n",
                 "  \"speedup\": {:.3},\n",
                 "  \"steals\": {},\n",
-                "  \"peak_in_flight\": {},\n",
-                "  \"groups\": {}\n",
+                "  \"peak_in_flight\": {}\n",
                 "}}\n"
             ),
             specs.len(),
@@ -170,7 +169,6 @@ fn main() {
             speedup,
             outcome.steals,
             outcome.peak_in_flight,
-            outcome.groups,
         );
         std::fs::write(&path, json).expect("write JSON report");
         println!("  wrote {path}");

@@ -161,9 +161,9 @@ impl ExperimentSpec {
 /// `keep_top` bounds the per-placement retention of every spec (`None` runs
 /// the exhaustive, keep-everything pipeline) and `cost_model` picks the
 /// model each spec builds for its own system. `options` carries the
-/// scheduling knobs (thread budget, steal seed, cross-spec bound sharing)
-/// and the returned [`BatchOutcome`] the scheduler telemetry.
-/// `observer` receives every spec's sweep events — pair it with a
+/// scheduling knobs (thread budget, steal seed) and the returned
+/// [`BatchOutcome`] the scheduler telemetry. `observer` receives every
+/// spec's sweep events — pair it with a
 /// [`p2_core::ProgressObserver`] totalled via [`total_placements`] for
 /// aggregate progress/ETA reporting.
 ///

@@ -69,20 +69,10 @@ pub struct P2Config {
     pub keep_top: Option<usize>,
     /// Cost-bound pruning slack: a candidate whose accumulated predicted
     /// prefix time exceeds the placement's best predicted time so far (seeded
-    /// by the AllReduce baseline prediction, tightened by an observer's bound
-    /// when one is supplied) times `1 + prune_slack` is dropped before it is
-    /// fully costed or measured. Larger values prune less aggressively.
-    ///
-    /// Pruning is active when [`P2Config::keep_top`] is set or when a
-    /// [`RunObserver`] returns a bound from
-    /// [`RunObserver::on_placement_start`], as [`SharedBoundObserver`],
-    /// [`TwoPassSharedBound`] and [`BatchOptions::share_bounds`] do.
-    ///
-    /// [`RunObserver`]: crate::RunObserver
-    /// [`RunObserver::on_placement_start`]: crate::RunObserver::on_placement_start
-    /// [`SharedBoundObserver`]: crate::SharedBoundObserver
-    /// [`TwoPassSharedBound`]: crate::TwoPassSharedBound
-    /// [`BatchOptions::share_bounds`]: crate::BatchOptions::share_bounds
+    /// by the AllReduce baseline prediction) times `1 + prune_slack` is
+    /// dropped before it is fully costed or measured. Larger values prune
+    /// less aggressively. Pruning is active only when [`P2Config::keep_top`]
+    /// is set.
     pub prune_slack: f64,
     /// The cost model predicting every synthesized program. `None` — the
     /// default — uses the paper's α–β model
@@ -272,9 +262,8 @@ impl P2Config {
         self
     }
 
-    /// Sets the cost-bound pruning slack (see [`P2Config::prune_slack`] for
-    /// when pruning is active: with [`P2Config::with_keep_top`] or an
-    /// observer's bound).
+    /// Sets the cost-bound pruning slack (see [`P2Config::prune_slack`]);
+    /// pruning is active only with [`P2Config::with_keep_top`].
     pub fn with_prune_slack(mut self, prune_slack: f64) -> Self {
         self.prune_slack = prune_slack;
         self

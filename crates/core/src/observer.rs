@@ -1,46 +1,36 @@
 //! Run observers: streaming visibility into the placement × synthesis sweep,
-//! the [`SharedBoundTree`] dyadic reduction tree behind deterministic
-//! cross-placement (and, via [`SlotBoundObserver`], cross-spec) pruning, the
-//! single-pass [`SharedBoundObserver`], the reference [`TwoPassSharedBound`],
 //! and the [`ProgressObserver`] progress/ETA reporter.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use p2_placement::ParallelismMatrix;
 use p2_synthesis::Program;
 
-use crate::error::P2Error;
-use crate::pipeline::{RunMode, P2};
-use crate::result::{ExperimentResult, PlacementEvaluation};
+use crate::result::PlacementEvaluation;
 
-/// Observes the progress of one experiment run ([`P2::run_observed`]).
+/// Observes the progress of one experiment run
+/// ([`P2::run_observed`](crate::P2::run_observed)).
 ///
-/// Every method has a no-op default, so implementations override only what
-/// they need. The sweep fans placements out across worker threads, so the
-/// observer is shared (`&self`, `Sync` supertrait) and events from *different*
-/// placements interleave nondeterministically; events *within* one placement
-/// are strictly ordered and deterministic:
+/// Observers only observe: every hook returns `()`, so a run's results are
+/// the same, bit for bit, with any observer or none. Every method has a
+/// no-op default, so implementations override only what they need. The sweep
+/// fans placements out across worker threads, so the observer is shared
+/// (`&self`, `Sync` supertrait) and events from *different* placements
+/// interleave nondeterministically; events *within* one placement are
+/// strictly ordered and deterministic:
 /// [`on_placement_start`](RunObserver::on_placement_start), then
 /// [`on_program_retained`](RunObserver::on_program_retained) in program-stream
 /// order, then [`on_placement_done`](RunObserver::on_placement_done). The
 /// `index` passed to each hook is the placement's position in enumeration
 /// order — the same index its [`PlacementEvaluation`] ends up at in
-/// [`ExperimentResult::placements`].
+/// [`ExperimentResult::placements`](crate::ExperimentResult::placements). A
+/// placement whose evaluation fails gets no `on_placement_done`; the run
+/// returns the error.
 pub trait RunObserver: Sync {
     /// Called once per placement, before its synthesis stream starts.
-    ///
-    /// Returning `Some(bound)` seeds the placement's predicted-time pruning
-    /// bound with `bound` (in seconds, predicted domain): candidates whose
-    /// accumulated predicted prefix exceeds
-    /// `min(bound, allreduce_predicted) × (1 + prune_slack)` are dropped
-    /// before they are fully costed or measured. Returning a bound activates
-    /// prefix pruning even when `keep_top` is unset; returning `None` (the
-    /// default) leaves the run's pruning behaviour untouched.
-    fn on_placement_start(&self, index: usize, matrix: &ParallelismMatrix) -> Option<f64> {
+    fn on_placement_start(&self, index: usize, matrix: &ParallelismMatrix) {
         let _ = (index, matrix);
-        None
     }
 
     /// Called for each program entering the placement's retention set, in
@@ -63,401 +53,10 @@ pub trait RunObserver: Sync {
     fn on_placement_done(&self, index: usize, evaluation: &PlacementEvaluation) {
         let _ = (index, evaluation);
     }
-
-    /// Called instead of [`on_placement_done`](RunObserver::on_placement_done)
-    /// when a placement's evaluation aborts with an error (the whole run is
-    /// about to fail with it). Observers that block on other placements'
-    /// completion — like [`SharedBoundObserver`] — must treat this as a
-    /// completion signal so in-flight workers can drain instead of waiting
-    /// forever on a placement that will never finish.
-    fn on_placement_aborted(&self, index: usize) {
-        let _ = index;
-    }
 }
 
 /// The no-op observer: every hook keeps its default.
 impl RunObserver for () {}
-
-/// Per-run state of the single-pass shared bound: the published per-placement
-/// minima and the memoized dyadic-prefix reductions over them.
-#[derive(Debug, Default)]
-struct BoundTree {
-    /// `slots[i]` is placement `i`'s published predicted minimum
-    /// (`f64::INFINITY` for degenerate placements), `None` until published.
-    slots: Vec<Option<f64>>,
-    /// `prefix[k]` memoizes `min(slots[0 .. 1 << k])` — the internal nodes of
-    /// the reduction tree, computed once when their subtree completes.
-    prefix: Vec<Option<f64>>,
-}
-
-impl BoundTree {
-    fn publish(&mut self, index: usize, value: f64) {
-        if self.slots.len() <= index {
-            self.slots.resize(index + 1, None);
-        }
-        self.slots[index] = Some(value);
-    }
-
-    /// The reduction-tree node covering `slots[0..len]`, computing and
-    /// memoizing it when every slot of the prefix is published. `len` must be
-    /// a power of two (`1 << k`).
-    fn prefix_min(&mut self, k: usize) -> Option<f64> {
-        if let Some(Some(v)) = self.prefix.get(k) {
-            return Some(*v);
-        }
-        let len = 1usize << k;
-        if self.slots.len() < len || self.slots[..len].iter().any(Option::is_none) {
-            return None;
-        }
-        let v = self.slots[..len]
-            .iter()
-            .map(|s| s.expect("checked above"))
-            .fold(f64::INFINITY, f64::min);
-        if self.prefix.len() <= k {
-            self.prefix.resize(k + 1, None);
-        }
-        self.prefix[k] = Some(v);
-        Some(v)
-    }
-}
-
-/// A shared, slot-addressed dyadic reduction tree over published predicted
-/// minima — the synchronization primitive behind [`SharedBoundObserver`]
-/// (slots = one sweep's placements) and the batch scheduler's cross-spec
-/// bound sharing (slots = every placement of every spec in a group, numbered
-/// spec-major in production order).
-///
-/// Slot `i` seeds its pruning bound from the tree node covering the dyadic
-/// prefix `[0, 2^⌊log₂ i⌋)`, blocking until every slot of that prefix has
-/// published. The dependency set of a slot is a pure function of its index
-/// and every published minimum is deterministic, so any consumer built on
-/// this tree is bit-identical for any thread count or steal schedule.
-/// Waiting cannot deadlock as long as slots are *started* in ascending order
-/// along each work queue: a slot only ever waits on strictly lower slots.
-#[derive(Debug, Default)]
-pub struct SharedBoundTree {
-    state: Mutex<BoundTree>,
-    published: Condvar,
-}
-
-impl SharedBoundTree {
-    /// Creates an empty tree.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Seeds slot `index`: blocks until the slot's dyadic prefix
-    /// `[0, 2^⌊log₂ index⌋)` is fully published, then returns its minimum
-    /// (`None` for slot 0, which has no predecessors, and for prefixes whose
-    /// published minima are all infinite).
-    pub fn seed(&self, index: usize) -> Option<f64> {
-        if index == 0 {
-            // The tree root has no predecessors; slot 0 runs unpruned.
-            return None;
-        }
-        let k = (usize::BITS - 1 - index.leading_zeros()) as usize;
-        let mut state = self.state.lock().expect("bound tree poisoned");
-        loop {
-            if let Some(bound) = state.prefix_min(k) {
-                return bound.is_finite().then_some(bound);
-            }
-            state = self
-                .published
-                .wait(state)
-                .expect("bound tree poisoned while waiting");
-        }
-    }
-
-    /// Publishes `value` into slot `index` and wakes every waiter.
-    /// Non-finite or non-positive values are recorded as `f64::INFINITY`:
-    /// degenerate slots never poison the bound but still unblock their tree
-    /// ancestors.
-    pub fn publish(&self, index: usize, value: f64) {
-        let value = if value.is_finite() && value > 0.0 {
-            value
-        } else {
-            f64::INFINITY
-        };
-        let mut state = self.state.lock().expect("bound tree poisoned");
-        state.publish(index, value);
-        self.published.notify_all();
-    }
-
-    /// Publishes a neutral (infinite) value into slot `index` — the abort
-    /// path: waiters blocked on the slot drain instead of hanging, and the
-    /// bound is unaffected.
-    pub fn publish_neutral(&self, index: usize) {
-        self.publish(index, f64::INFINITY);
-    }
-
-    /// The minimum over all published finite slots so far, if any.
-    pub fn bound(&self) -> Option<f64> {
-        let state = self.state.lock().expect("bound tree poisoned");
-        let bound = state
-            .slots
-            .iter()
-            .flatten()
-            .fold(f64::INFINITY, |a, &b| a.min(b));
-        bound.is_finite().then_some(bound)
-    }
-
-    /// Clears every slot and memoized prefix, ready for a fresh run.
-    pub fn reset(&self) {
-        *self.state.lock().expect("bound tree poisoned") = BoundTree::default();
-    }
-}
-
-/// A completed placement's contribution to the shared bound: its AllReduce
-/// baseline prediction or its best retained program, whichever is smaller.
-fn predicted_minimum(evaluation: &PlacementEvaluation) -> f64 {
-    let mut best = evaluation.allreduce_predicted;
-    for program in &evaluation.programs {
-        best = best.min(program.predicted_seconds);
-    }
-    best
-}
-
-/// An observer window into a [`SharedBoundTree`] shared by several sweeps:
-/// placement `i` of this observer's sweep maps to tree slot `offset + i`.
-///
-/// This is how the batch scheduler generalizes [`SharedBoundObserver`] across
-/// specs: each spec in a sharing group gets a `SlotBoundObserver` onto the
-/// group's tree, with offsets assigned spec-major in production order so the
-/// combined slot numbering is exactly one big sweep's. Completed placements
-/// anywhere in the group tighten the bound every other spec prunes against.
-#[derive(Debug, Clone)]
-pub struct SlotBoundObserver {
-    tree: Arc<SharedBoundTree>,
-    offset: usize,
-}
-
-impl SlotBoundObserver {
-    /// Creates a window onto `tree` starting at slot `offset`.
-    pub fn new(tree: Arc<SharedBoundTree>, offset: usize) -> Self {
-        SlotBoundObserver { tree, offset }
-    }
-
-    /// The shared tree this window publishes into.
-    pub fn tree(&self) -> &Arc<SharedBoundTree> {
-        &self.tree
-    }
-}
-
-impl RunObserver for SlotBoundObserver {
-    fn on_placement_start(&self, index: usize, _matrix: &ParallelismMatrix) -> Option<f64> {
-        self.tree.seed(self.offset + index)
-    }
-
-    fn on_placement_done(&self, index: usize, evaluation: &PlacementEvaluation) {
-        self.tree
-            .publish(self.offset + index, predicted_minimum(evaluation));
-    }
-
-    fn on_placement_aborted(&self, index: usize) {
-        self.tree.publish_neutral(self.offset + index);
-    }
-}
-
-/// Cross-placement pruning inside a *single* sweep (the ROADMAP's
-/// "shared bound inside one pass" item), deterministic for any worker-thread
-/// count.
-///
-/// The naive shared bound — prune every placement against the best prediction
-/// seen *so far* — is nondeterministic under parallelism: what "so far" means
-/// depends on which worker finishes first. This observer instead reduces the
-/// published per-placement minima through a **fixed tree keyed by placement
-/// production order**:
-///
-/// * when placement `i` completes, its worker publishes the placement's
-///   predicted minimum (its AllReduce baseline prediction or its best
-///   retained program, whichever is smaller) into slot `i` of the tree;
-/// * before placement `i` starts pruning, it seeds its bound with the tree
-///   node covering the dyadic prefix `[0, 2^⌊log₂ i⌋)` — waiting, if
-///   necessary, for every slot of that prefix to be published.
-///
-/// The dependency set of each placement is a pure function of its production
-/// index, and every published minimum is itself deterministic (a placement's
-/// own evaluation only depends on its deterministic seed), so the whole sweep
-/// is bit-identical for any thread count — `tests/observer.rs` pins this.
-/// Waiting cannot deadlock: the streamed placements are dequeued in
-/// production order, so the lowest in-flight index only depends on completed
-/// placements.
-///
-/// Unlike the reference [`TwoPassSharedBound`], nothing is predicted twice:
-/// the sweep issues strictly fewer predictions (also pinned in
-/// `tests/observer.rs`). The price is twofold. The bound is weaker for early
-/// placements — placement 0 is never pruned, and the bound tightens as the
-/// prefix doubles. And the prefix waits are *barriers*: every placement in
-/// `[2^k, 2^(k+1))` blocks until the slowest placement in `[0, 2^k)`
-/// finishes, so a sweep with heavily skewed per-placement cost serializes at
-/// each power-of-two boundary (O(log n) of them per run) and may keep
-/// workers parked there. Both observers land on the same retained best
-/// program; prefer the two-pass when per-placement cost is wildly skewed and
-/// wall-clock matters more than the duplicate prediction pass.
-///
-/// # Examples
-///
-/// ```
-/// use p2_core::{SharedBoundObserver, P2};
-/// use p2_topology::presets;
-///
-/// let session = P2::builder(presets::a100_system(2))
-///     .parallelism_axes([8, 4])
-///     .reduction_axes([0])
-///     .bytes_per_device(1.0e9)
-///     .repeats(2)
-///     .build()?;
-/// let mut observer = SharedBoundObserver::new();
-/// let pruned = observer.run(&session)?;
-/// let exhaustive = session.run()?;
-/// assert!(pruned.total_programs_retained() <= exhaustive.total_programs_retained());
-/// assert_eq!(
-///     pruned.best_overall().map(|p| p.signature()),
-///     exhaustive.best_overall().map(|p| p.signature()),
-/// );
-/// # Ok::<(), p2_core::P2Error>(())
-/// ```
-#[derive(Debug, Default)]
-pub struct SharedBoundObserver {
-    tree: SharedBoundTree,
-}
-
-impl SharedBoundObserver {
-    /// Creates an observer with an empty reduction tree.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The global best published predicted minimum so far, if any placement
-    /// published a finite one.
-    pub fn bound(&self) -> Option<f64> {
-        self.tree.bound()
-    }
-
-    /// Runs `session` once with this observer, resetting the reduction tree
-    /// first.
-    ///
-    /// Takes `&mut self` so one observer cannot drive two overlapping runs —
-    /// slot indices are per-run, and interleaving two runs would mix their
-    /// bounds.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the sweep's errors.
-    pub fn run(&mut self, session: &P2) -> Result<ExperimentResult, P2Error> {
-        self.tree.reset();
-        session.run_observed(self)
-    }
-}
-
-impl RunObserver for SharedBoundObserver {
-    fn on_placement_start(&self, index: usize, _matrix: &ParallelismMatrix) -> Option<f64> {
-        self.tree.seed(index)
-    }
-
-    fn on_placement_done(&self, index: usize, evaluation: &PlacementEvaluation) {
-        self.tree.publish(index, predicted_minimum(evaluation));
-    }
-
-    fn on_placement_aborted(&self, index: usize) {
-        self.tree.publish_neutral(index);
-    }
-}
-
-/// Cross-placement pruning as a deterministic two-pass run — the reference
-/// implementation the single-pass [`SharedBoundObserver`] is checked against.
-///
-/// 1. **Seeding pass** ([`RunMode::PredictOnly`]): every placement is swept
-///    with the cost model only; the observer records the global minimum
-///    predicted time across all placements. A minimum is order-independent,
-///    so the recorded bound is identical for any thread count or
-///    interleaving.
-/// 2. **Pruned pass** (the session's own mode): the frozen global bound seeds
-///    every placement's pruning bound via
-///    [`RunObserver::on_placement_start`], so placements whose programs all
-///    predict worse than `global_best × (1 + prune_slack)` retain little or
-///    nothing — cheap placements prune expensive ones.
-///
-/// Both passes are deterministic, so the overall result is too. The price is
-/// that every program is predicted twice (and every baseline measured twice);
-/// prefer [`SharedBoundObserver`] unless the strongest possible bound is
-/// worth a second sweep.
-#[derive(Debug)]
-pub struct TwoPassSharedBound {
-    /// `true` while the predict-only pass is recording the bound.
-    seeding: AtomicBool,
-    /// Bit pattern of the global minimum predicted time. Predicted times are
-    /// positive finite floats, whose IEEE-754 bit patterns order exactly like
-    /// the values — `fetch_min` on the bits is `min` on the seconds.
-    bound_bits: AtomicU64,
-}
-
-impl Default for TwoPassSharedBound {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl TwoPassSharedBound {
-    /// Creates an observer with no recorded bound, ready for a seeding pass.
-    pub fn new() -> Self {
-        TwoPassSharedBound {
-            seeding: AtomicBool::new(true),
-            bound_bits: AtomicU64::new(f64::INFINITY.to_bits()),
-        }
-    }
-
-    /// The global best predicted time recorded so far, if any.
-    pub fn bound(&self) -> Option<f64> {
-        let bound = f64::from_bits(self.bound_bits.load(Ordering::SeqCst));
-        bound.is_finite().then_some(bound)
-    }
-
-    /// Runs the two passes on `session`: a [`RunMode::PredictOnly`] pass that
-    /// seeds the global bound, then the session's own mode pruned against it.
-    /// Returns the pruned pass's result.
-    ///
-    /// Takes `&mut self` so one observer cannot drive two overlapping runs —
-    /// the seeding/bound state is per-run, and interleaving two runs would
-    /// hand a partially-collected bound to the other's sweep.
-    ///
-    /// # Errors
-    ///
-    /// Propagates errors from either pass.
-    pub fn run(&mut self, session: &P2) -> Result<ExperimentResult, P2Error> {
-        self.seeding.store(true, Ordering::SeqCst);
-        self.bound_bits
-            .store(f64::INFINITY.to_bits(), Ordering::SeqCst);
-        session
-            .clone()
-            .with_mode(RunMode::PredictOnly)
-            .run_observed(self)?;
-        self.seeding.store(false, Ordering::SeqCst);
-        session.run_observed(self)
-    }
-}
-
-impl RunObserver for TwoPassSharedBound {
-    fn on_placement_start(&self, _index: usize, _matrix: &ParallelismMatrix) -> Option<f64> {
-        if self.seeding.load(Ordering::SeqCst) {
-            // The bound is still being collected; handing out a partial bound
-            // here would make pruning depend on sweep interleaving.
-            None
-        } else {
-            self.bound()
-        }
-    }
-
-    fn on_placement_done(&self, _index: usize, evaluation: &PlacementEvaluation) {
-        if !self.seeding.load(Ordering::SeqCst) {
-            return;
-        }
-        let best = predicted_minimum(evaluation);
-        if best.is_finite() && best > 0.0 {
-            self.bound_bits.fetch_min(best.to_bits(), Ordering::SeqCst);
-        }
-    }
-}
 
 /// A progress/ETA reporter for long sweeps: prints one line to stderr per
 /// completed placement (or per [`every`](ProgressObserver::with_every)
@@ -562,92 +161,6 @@ impl RunObserver for ProgressObserver {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bound_is_none_until_seeded() {
-        let single = SharedBoundObserver::new();
-        assert_eq!(single.bound(), None);
-        let two_pass = TwoPassSharedBound::new();
-        assert_eq!(two_pass.bound(), None);
-        let eval_bound = two_pass.on_placement_start(
-            0,
-            &ParallelismMatrix::new(vec![vec![2, 2]], vec![2, 2], vec![4]).unwrap(),
-        );
-        assert_eq!(eval_bound, None);
-    }
-
-    #[test]
-    fn positive_float_bits_order_like_the_floats() {
-        // The invariant the two-pass `fetch_min` relies on.
-        for (a, b) in [(0.1f64, 0.2), (1.0, 1.0 + f64::EPSILON), (1e-300, 1e300)] {
-            assert_eq!(a < b, a.to_bits() < b.to_bits());
-        }
-    }
-
-    #[test]
-    fn reduction_tree_seeds_dyadic_prefixes() {
-        let mut tree = BoundTree::default();
-        tree.publish(0, 4.0);
-        assert_eq!(tree.prefix_min(0), Some(4.0)); // covers [0, 1)
-        assert_eq!(tree.prefix_min(1), None); // [0, 2) incomplete
-        tree.publish(1, 2.0);
-        assert_eq!(tree.prefix_min(1), Some(2.0));
-        // Publishing out of order completes [0, 4) only when slot 2 lands.
-        tree.publish(3, 1.0);
-        assert_eq!(tree.prefix_min(2), None);
-        tree.publish(2, 8.0);
-        assert_eq!(tree.prefix_min(2), Some(1.0));
-        // The memoized node is frozen: later publishes cannot change it.
-        tree.publish(0, 0.5);
-        assert_eq!(tree.prefix_min(2), Some(1.0));
-    }
-
-    #[test]
-    fn shared_bound_tree_sanitizes_and_resets() {
-        let tree = SharedBoundTree::new();
-        tree.publish(0, f64::NAN);
-        tree.publish(1, -3.0);
-        assert_eq!(tree.bound(), None, "degenerate publishes stay neutral");
-        // Slot 2's prefix [0, 2) is complete (all infinite) → no bound.
-        assert_eq!(tree.seed(2), None);
-        tree.publish(2, 0.25);
-        assert_eq!(tree.bound(), Some(0.25));
-        tree.publish(3, 0.125);
-        // [0, 4) complete: slots 4..8 seed from its minimum.
-        assert_eq!(tree.seed(4), Some(0.125));
-        tree.reset();
-        assert_eq!(tree.bound(), None);
-        assert_eq!(tree.seed(0), None);
-    }
-
-    #[test]
-    fn slot_observer_windows_share_one_tree_across_offsets() {
-        let tree = Arc::new(SharedBoundTree::new());
-        let first = SlotBoundObserver::new(Arc::clone(&tree), 0);
-        let second = SlotBoundObserver::new(Arc::clone(&tree), 2);
-        let matrix = ParallelismMatrix::new(vec![vec![2, 2]], vec![2, 2], vec![4]).unwrap();
-        // The two windows' local indices land in disjoint global slots.
-        tree.publish(0, 4.0);
-        tree.publish(1, 2.0);
-        // second's placement 0 is global slot 2: its prefix [0, 2) is ready.
-        assert_eq!(second.on_placement_start(0, &matrix), Some(2.0));
-        second.on_placement_aborted(1); // global slot 3 → neutral publish
-                                        // first's placement 0 is the root and never waits.
-        assert_eq!(first.on_placement_start(0, &matrix), None);
-        assert_eq!(tree.bound(), Some(2.0));
-    }
-
-    #[test]
-    fn aborted_placements_release_waiters_instead_of_hanging() {
-        let observer = SharedBoundObserver::new();
-        let matrix = ParallelismMatrix::new(vec![vec![2, 2]], vec![2, 2], vec![4]).unwrap();
-        // Placement 0 errors out; placement 1 depends on its slot. The abort
-        // hook publishes a neutral value, so the seed resolves (to "no
-        // bound") instead of blocking forever.
-        observer.on_placement_aborted(0);
-        assert_eq!(observer.on_placement_start(1, &matrix), None);
-        assert_eq!(observer.bound(), None);
-    }
 
     #[test]
     fn progress_observer_counts_and_reports() {

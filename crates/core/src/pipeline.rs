@@ -36,8 +36,7 @@ pub enum RunMode {
     Shortlist(usize),
     /// Predict every program and measure nothing; every program's measured
     /// time is its prediction. (The AllReduce baseline is still measured to
-    /// anchor the tables.) This is the seeding pass of
-    /// [`TwoPassSharedBound`](crate::TwoPassSharedBound).
+    /// anchor the tables.) The planner serves this mode as `predict-only`.
     PredictOnly,
 }
 
@@ -249,10 +248,8 @@ impl P2 {
     /// scheduler steals across their boundaries. Redeem the returned
     /// [`PendingSweep`] with [`PendingSweep::collect`].
     ///
-    /// Jobs are spawned in placement production order. Observers that block on
-    /// other placements' slots (the shared-bound reduction tree) rely on that:
-    /// a placement only ever waits on strictly earlier spawns, which is what
-    /// keeps the pool deadlock-free under any steal schedule.
+    /// Jobs are spawned in placement production order, the order
+    /// [`PendingSweep::collect`] joins them in.
     ///
     /// # Errors
     ///
@@ -430,74 +427,23 @@ impl P2 {
     /// first time a program prefix reaches it ([`StepTimes`]), and the
     /// placement's executor simulates each distinct step once; a program's
     /// steps are cloned into a [`LoweredProgram`] only when it is measured
-    /// or retained. With the default configuration
-    /// (`keep_top = None`, no observer bound) every program is retained and
-    /// the results are bit-compatible with the old materializing pipeline;
-    /// with [`P2Config::keep_top`] only a bounded top-K heap survives, ranked
-    /// by the same key the final result ranking uses (measured time when
-    /// measuring eagerly, predicted time otherwise), and candidates whose
-    /// accumulated predicted prefix already exceeds the placement's best
-    /// prediction so far times `1 + prune_slack` (or the heap's worst
+    /// or retained. With the default configuration (`keep_top = None`)
+    /// every program is retained and the results are bit-compatible with the
+    /// old materializing pipeline; with [`P2Config::keep_top`] only a bounded
+    /// top-K heap survives, ranked by the same key the final result ranking
+    /// uses (measured time when measuring eagerly, predicted time otherwise),
+    /// and candidates whose accumulated predicted prefix already exceeds the
+    /// placement's best prediction so far — starting at its own AllReduce
+    /// baseline prediction — times `1 + prune_slack` (or the heap's worst
     /// retained prediction once it is full, in predict-first modes) are
-    /// pruned before they are fully costed or measured. An observer-supplied
-    /// bound ([`RunObserver::on_placement_start`]) tightens the best
-    /// prediction's seed — normally the placement's own AllReduce baseline —
-    /// and activates prefix pruning even without `keep_top`.
+    /// pruned before they are fully costed or measured.
     ///
     /// All predictions come from the configured [`CostModel`]: a program's
     /// prediction folds its step times from `+0.0` in program order, the
     /// model's additivity contract, so it is bit-identical to
     /// [`CostModel::program_time`] of the lowered program.
-    ///
-    /// Errors — and panics unwinding through this frame — fire
-    /// [`RunObserver::on_placement_aborted`] before propagating, so observers
-    /// blocking on this placement's completion (the shared-bound reduction
-    /// tree) are released instead of waiting forever; a panic is re-raised on
-    /// the thread joining the sweep, failing the run exactly as it did before
-    /// observers could block.
     #[allow(clippy::too_many_arguments)]
     fn evaluate_placement(
-        &self,
-        index: usize,
-        matrix: &ParallelismMatrix,
-        model: &Arc<dyn CostModel>,
-        shared: Option<&Arc<SharedTables>>,
-        memo: Option<&Arc<MemoBank>>,
-        measure_programs: bool,
-        observer: &dyn RunObserver,
-    ) -> Result<PlacementEvaluation, P2Error> {
-        struct AbortGuard<'a> {
-            observer: &'a dyn RunObserver,
-            index: usize,
-            armed: bool,
-        }
-        impl Drop for AbortGuard<'_> {
-            fn drop(&mut self) {
-                if self.armed {
-                    self.observer.on_placement_aborted(self.index);
-                }
-            }
-        }
-        let mut guard = AbortGuard {
-            observer,
-            index,
-            armed: true,
-        };
-        let result = self.evaluate_placement_inner(
-            index,
-            matrix,
-            model,
-            shared,
-            memo,
-            measure_programs,
-            observer,
-        );
-        guard.armed = result.is_err();
-        result
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn evaluate_placement_inner(
         &self,
         index: usize,
         matrix: &ParallelismMatrix,
@@ -511,7 +457,7 @@ impl P2 {
         // shared batch scheduler borrow nothing but the session itself; its
         // step memo lives exactly as long as this placement's evaluation.
         let executor = Executor::new(&self.config.system, self.exec_config())?;
-        let bound_seed = observer.on_placement_start(index, matrix);
+        observer.on_placement_start(index, matrix);
         // Placement jobs already run on the sweep pool, so the build recruits
         // the pool's idle workers rather than spawning its own.
         let mut synthesizer = Synthesizer::new(
@@ -532,22 +478,16 @@ impl P2 {
 
         let keep_top = self.config.keep_top;
         let prune_slack = self.config.prune_slack;
-        let prune = keep_top.is_some() || bound_seed.is_some();
         let mut step_times = StepTimes::new(model.as_ref());
         let mut programs: Vec<ProgramEvaluation> = Vec::new();
         let mut heap: BinaryHeap<HeapEntry> = BinaryHeap::new();
         let mut num_programs = 0usize;
         let mut seq = 0usize;
         // The pruning bound tracks the best prediction seen in this placement,
-        // seeded by the AllReduce baseline the sweep always evaluates anyway —
-        // tightened up front by the observer's cross-placement bound when one
-        // is supplied. Either way the bound is fixed before the stream starts
-        // and then only shrinks with this placement's own predictions, so the
-        // sweep stays bit-identical across worker-thread counts.
+        // seeded by the AllReduce baseline the sweep always evaluates anyway.
+        // It depends on nothing outside this placement, so the sweep stays
+        // bit-identical across worker-thread counts.
         let mut best_predicted = allreduce_predicted;
-        if let Some(seed) = bound_seed {
-            best_predicted = best_predicted.min(seed);
-        }
         // Evaluation work (costing, measuring) is interleaved with the search
         // on the stream, and so is lowering each distinct step; subtracting
         // both from the pass's wall-clock keeps `synthesis_time` meaning what
@@ -567,20 +507,16 @@ impl P2 {
                 // retained time may only tighten it in predict-first modes,
                 // where ranking time and prediction coincide.
                 let mut bound = f64::INFINITY;
-                if prune {
+                if let Some(k) = keep_top {
                     bound = best_predicted * (1.0 + prune_slack);
-                    if let Some(k) = keep_top {
-                        if !measure_programs && heap.len() == k {
-                            if let Some(worst) = heap.peek() {
-                                bound = bound.min(worst.measured);
-                            }
+                    if !measure_programs && heap.len() == k {
+                        if let Some(worst) = heap.peek() {
+                            bound = bound.min(worst.measured);
                         }
                     }
                 }
                 if let Some(predicted) = step_times.program_time(emitted, bound) {
-                    if prune {
-                        best_predicted = best_predicted.min(predicted);
-                    }
+                    best_predicted = best_predicted.min(predicted);
                     // Steps are cloned out of the table only for programs
                     // that are measured or kept.
                     let measured_lowered = measure_programs.then(|| emitted.to_lowered());
@@ -687,8 +623,8 @@ impl P2 {
 /// [`Scheduler`] by [`P2::spawn_sweep`] but not yet joined.
 ///
 /// Dropping a `PendingSweep` does not cancel its jobs — they drain on the
-/// pool (their observer events still fire, releasing any shared-bound
-/// waiters); only their results are discarded.
+/// pool (their observer events still fire); only their results are
+/// discarded.
 pub struct PendingSweep<'env> {
     session: &'env P2,
     handles: Vec<JobHandle<Result<PlacementEvaluation, P2Error>>>,

@@ -13,6 +13,11 @@
 use std::fmt;
 use std::path::Path;
 
+/// The deepest nesting of arrays and objects [`Json::parse`] accepts: `[]` is
+/// depth 1. The parser recurses once per level, so the cap bounds its stack
+/// use whatever the input; the workspace's own records nest about 4 deep.
+pub const MAX_DEPTH: usize = 128;
+
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -34,10 +39,12 @@ pub enum Json {
 
 impl Json {
     /// Parses one JSON document, requiring nothing but whitespace after it.
+    /// Documents nested deeper than [`MAX_DEPTH`] and numbers outside the
+    /// finite `f64` range are errors.
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing bytes at offset {pos}"));
@@ -151,8 +158,16 @@ fn expect(bytes: &[u8], pos: &mut usize, token: &str) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parses the value at `pos`, which sits inside `depth` open arrays and
+/// objects.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
+    if matches!(bytes.get(*pos), Some(b'[' | b'{')) && depth == MAX_DEPTH {
+        return Err(format!(
+            "nesting deeper than {MAX_DEPTH} at offset {}",
+            *pos
+        ));
+    }
     match bytes.get(*pos) {
         None => Err("unexpected end of input".to_string()),
         Some(b'n') => expect(bytes, pos, "null").map(|()| Json::Null),
@@ -168,7 +183,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -193,7 +208,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 let key = parse_string(bytes, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, ":")?;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth + 1)?;
                 fields.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -273,8 +288,10 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<f64, String> {
         *pos += 1;
     }
     let text = std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?;
-    text.parse::<f64>()
-        .map_err(|_| format!("bad number `{text}` at offset {start}"))
+    match text.parse::<f64>() {
+        Ok(n) if n.is_finite() => Ok(n),
+        _ => Err(format!("bad number `{text}` at offset {start}")),
+    }
 }
 
 fn escape_into(out: &mut String, text: &str) {
@@ -377,6 +394,35 @@ mod tests {
         for bad in ["", "{", "[1,", "{\"a\":}", "tru", "1 2", "{\"a\" 1}"] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn nesting_deeper_than_max_depth_is_an_error() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&nested(MAX_DEPTH + 1)).is_err());
+        let object = "{\"a\":".repeat(MAX_DEPTH) + "1" + &"}".repeat(MAX_DEPTH);
+        assert!(Json::parse(&object).is_ok());
+        assert!(Json::parse(&format!("[{object}]")).is_err());
+    }
+
+    #[test]
+    fn deep_hostile_input_fails_without_overflowing_the_stack() {
+        // A default-size thread stack: uncapped recursion aborted the whole
+        // process on this input.
+        let hostile = "[".repeat(100_000);
+        let parsed = std::thread::spawn(move || Json::parse(&hostile).is_err())
+            .join()
+            .unwrap();
+        assert!(parsed);
+    }
+
+    #[test]
+    fn numbers_outside_the_finite_range_are_errors() {
+        for bad in ["1e400", "-1e400", "[1e999]"] {
+            assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
+        }
+        assert_eq!(Json::parse("1e308").unwrap().as_f64(), Some(1e308));
     }
 
     #[test]

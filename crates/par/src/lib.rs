@@ -265,12 +265,11 @@ impl<'env> SchedulerState<'env> {
     /// — only when its own deque is empty — the front of another worker's.
     ///
     /// Both ends are FIFO on purpose. Jobs land in each deque in ascending
-    /// global spawn order, a worker steals only when its own deque is empty,
-    /// and pipeline jobs only ever block on *strictly lower* spawn indices
-    /// (the dyadic bound tree's prefix). Under those invariants the minimal
-    /// incomplete job is always at the front of some deque and some non-blocked
-    /// worker will reach it, so the pool cannot deadlock — for any deque
-    /// assignment, which is what makes [`SchedulerOptions::seed`] safe to
+    /// global spawn order, so the pool runs the oldest queued jobs first:
+    /// work finishes roughly in the order the scope body joins it (a sweep
+    /// joins its placements in production order). Jobs never block on other
+    /// queued jobs (see [`Scheduler`]), so any deque assignment is
+    /// deadlock-free, which is what makes [`SchedulerOptions::seed`] safe to
     /// randomize.
     fn take(&self, queues: &mut Queues<'env>, id: usize) -> Option<Job<'env>> {
         if let Some(job) = queues.deques[id].pop_front() {
@@ -406,8 +405,7 @@ impl<'scope, 'env> Scheduler<'scope, 'env> {
     ///
     /// The target deque is chosen from the spawn index (round-robin, or
     /// seed-scattered — see [`SchedulerOptions::seed`]); each deque therefore
-    /// holds jobs in ascending spawn order, which the deadlock-freedom
-    /// argument on the pool relies on.
+    /// holds jobs in ascending spawn order, and the oldest job runs first.
     pub fn spawn<R, F>(&self, f: F) -> JobHandle<R>
     where
         R: Send + 'env,

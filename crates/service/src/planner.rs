@@ -321,7 +321,8 @@ impl Planner {
 
     /// [`Planner::new`] with a [`RunObserver`] attached to every synthesis
     /// the planner runs — the hook the cache-bypass tests count
-    /// placements through.
+    /// placements through. Observers only observe, so the observer cannot
+    /// change a plan the planner caches.
     pub fn with_observer(
         config: PlannerConfig,
         observer: Arc<dyn RunObserver + Send + Sync>,

@@ -19,7 +19,8 @@
 //!
 //! `system` is one of `a100` / `v100` / `v100-pcie` (with `nodes`),
 //! `figure2a`, or `rack` (with `racks`, `nodes_per_rack`, `gpus`, and an
-//! optional `oversubscription` ratio). Optional knobs mirror
+//! optional `oversubscription` ratio); a size of zero is a `protocol` error
+//! naming the field. Optional knobs mirror
 //! [`PlanRequest`]: `max_program_size`, `noise`, `seed`, `repeats`,
 //! `keep_top`, `prune_slack`, `top_k`, `shortlist` (with
 //! `"mode":"shortlist"`). `null` leaves a knob unset; a knob of the wrong
@@ -104,19 +105,28 @@ fn get_list(json: &Json, key: &str) -> Result<Option<Vec<usize>>, ServiceError> 
     })
 }
 
+/// Reads a preset's size field, `default` when unset. Zero is a protocol
+/// error naming the field: the presets assert their sizes are positive.
+fn get_size(json: &Json, key: &str, default: usize) -> Result<usize, ServiceError> {
+    match get_usize(json, key)?.unwrap_or(default) {
+        0 => Err(ServiceError::Protocol(format!("`{key}` must be positive"))),
+        size => Ok(size),
+    }
+}
+
 fn parse_system(json: &Json) -> Result<p2_topology::SystemTopology, ServiceError> {
     let name = get_str(json, "system")?
         .ok_or_else(|| ServiceError::Protocol("`system` is required".to_string()))?;
-    let nodes = get_usize(json, "nodes")?.unwrap_or(2);
+    let nodes = get_size(json, "nodes", 2)?;
     match name {
         "a100" => Ok(presets::a100_system(nodes)),
         "v100" => Ok(presets::v100_system(nodes)),
         "v100-pcie" => Ok(presets::v100_pcie_system(nodes)),
         "figure2a" => Ok(presets::figure2a_system()),
         "rack" => {
-            let racks = get_usize(json, "racks")?.unwrap_or(2);
-            let nodes_per_rack = get_usize(json, "nodes_per_rack")?.unwrap_or(2);
-            let gpus = get_usize(json, "gpus")?.unwrap_or(4);
+            let racks = get_size(json, "racks", 2)?;
+            let nodes_per_rack = get_size(json, "nodes_per_rack", 2)?;
+            let gpus = get_size(json, "gpus", 4)?;
             match get_f64(json, "oversubscription")? {
                 Some(ratio) if !(ratio.is_finite() && ratio >= 1.0) => Err(ServiceError::Protocol(
                     "`oversubscription` must be a number >= 1".to_string(),
@@ -409,6 +419,27 @@ mod tests {
             let null = format!(r#"{{"op":"plan",{base},"{field}":null}}"#);
             let omitted = format!(r#"{{"op":"plan",{base}}}"#);
             assert_eq!(decode(&null), decode(&omitted), "{field}: null means unset");
+        }
+    }
+
+    #[test]
+    fn zero_preset_sizes_are_protocol_errors_naming_the_field() {
+        let a100 = r#""system":"a100","axes":[8],"reduction":[0]"#;
+        let rack = r#""system":"rack","axes":[4],"reduction":[0]"#;
+        for (base, field) in [
+            (a100, "nodes"),
+            (rack, "racks"),
+            (rack, "nodes_per_rack"),
+            (rack, "gpus"),
+        ] {
+            let line = format!(r#"{{"op":"plan",{base},"{field}":0}}"#);
+            match parse_request(&line) {
+                Err(ServiceError::Protocol(message)) => assert!(
+                    message.contains(&format!("`{field}`")),
+                    "{line}: the error must name the field, got {message:?}"
+                ),
+                other => panic!("{line} must be a protocol error, got {other:?}"),
+            }
         }
     }
 

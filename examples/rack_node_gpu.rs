@@ -8,20 +8,14 @@
 //!
 //! * `P2::builder` with `RunMode::Shortlist` — the paper's deployment mode —
 //!   plus bounded per-placement retention;
-//! * a `RunObserver` counting streamed events from the parallel sweep;
-//! * `SharedBoundObserver`, whose single-pass reduction-tree bound lets cheap
-//!   placements prune expensive ones inside one sweep, deterministically for
-//!   any thread count.
+//! * a `RunObserver` counting streamed events from the parallel sweep.
 //!
 //! Run with `cargo run --release --example rack_node_gpu`
 //! `[-- --cost-model alpha-beta|loggp|calibrated]`.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use p2::{
-    cost_model_from_args, presets, NcclAlgo, ParallelismMatrix, RunMode, RunObserver,
-    SharedBoundObserver, P2,
-};
+use p2::{cost_model_from_args, presets, NcclAlgo, ParallelismMatrix, RunMode, RunObserver, P2};
 
 /// Counts sweep events to show the observer contract in action.
 #[derive(Default)]
@@ -31,9 +25,8 @@ struct EventCounter {
 }
 
 impl RunObserver for EventCounter {
-    fn on_placement_start(&self, _index: usize, _matrix: &ParallelismMatrix) -> Option<f64> {
+    fn on_placement_start(&self, _index: usize, _matrix: &ParallelismMatrix) {
         self.placements.fetch_add(1, Ordering::Relaxed);
-        None
     }
 
     fn on_program_retained(
@@ -96,25 +89,9 @@ fn main() -> Result<(), p2::P2Error> {
     }
     let best = result.best_overall().expect("at least one program");
     println!(
-        "\nBest placement + strategy: {} in {:.4}s\n",
+        "\nBest placement + strategy: {} in {:.4}s",
         best.signature(),
         best.measured_seconds
-    );
-
-    // Cross-placement pruning inside one pass: each placement publishes its
-    // predicted minimum into a reduction tree keyed by production order, and
-    // later placements prune against the dyadic prefix below them — no
-    // duplicate predict-only sweep, still deterministic for any thread count.
-    let mut shared = SharedBoundObserver::new();
-    let pruned = shared.run(&session)?;
-    println!(
-        "Single-pass shared-bound run: global predicted bound {:.4}s, retained {} (vs {}), \
-         same optimum: {}",
-        shared.bound().expect("bound seeded"),
-        pruned.total_programs_retained(),
-        result.total_programs_retained(),
-        pruned.best_overall().map(|p| p.signature())
-            == result.best_overall().map(|p| p.signature())
     );
     Ok(())
 }

@@ -1,9 +1,8 @@
 //! The batch-scheduling contract of [`p2::run_batch`]: one global thread
 //! budget for a whole batch of sessions (the nested-parallelism
 //! oversubscription regression), retained-program sets that are invariant
-//! under randomized steal schedules, and cross-spec bound sharing that issues
-//! strictly fewer predictions than per-spec bounds while keeping the group's
-//! best program.
+//! under randomized steal schedules, and a batch that does exactly the work
+//! of its sessions run one by one.
 
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -12,8 +11,7 @@ use std::sync::Arc;
 use p2::synthesis::LoweredStep;
 use p2::{
     presets, run_batch, AlphaBetaModel, BatchOptions, CostModel, ExperimentResult, NcclAlgo,
-    ParallelismMatrix, PlacementEvaluation, RunObserver, SharedBoundObserver, StepCost,
-    SystemTopology, P2,
+    ParallelismMatrix, PlacementEvaluation, RunObserver, StepCost, SystemTopology, P2,
 };
 
 fn session(axes: Vec<usize>, reduction: Vec<usize>, bytes: f64) -> P2 {
@@ -39,19 +37,14 @@ struct ConcurrencyObserver {
 }
 
 impl RunObserver for ConcurrencyObserver {
-    fn on_placement_start(&self, _index: usize, _matrix: &ParallelismMatrix) -> Option<f64> {
+    fn on_placement_start(&self, _index: usize, _matrix: &ParallelismMatrix) {
         let now = self.current.fetch_add(1, Ordering::SeqCst) + 1;
         self.peak.fetch_max(now, Ordering::SeqCst);
-        None
     }
 
     fn on_placement_done(&self, _index: usize, _evaluation: &PlacementEvaluation) {
         self.current.fetch_sub(1, Ordering::SeqCst);
         self.done.fetch_add(1, Ordering::SeqCst);
-    }
-
-    fn on_placement_aborted(&self, _index: usize) {
-        self.current.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -107,7 +100,7 @@ proptest::proptest! {
             session(vec![16, 2], vec![1], 1.0e8),
         ];
         let reference = run_batch(&sessions, &BatchOptions::with_threads(1), &()).unwrap();
-        let options = BatchOptions { threads, steal_seed, ..BatchOptions::default() };
+        let options = BatchOptions { threads, steal_seed };
         let outcome = run_batch(&sessions, &options, &()).unwrap();
         for (a, b) in reference.results.iter().zip(&outcome.results) {
             proptest::prop_assert_eq!(retained_sets(a), retained_sets(b));
@@ -163,9 +156,8 @@ impl CostModel for CountingModel {
 }
 
 fn counting_sessions(model: &Arc<CountingModel>) -> Vec<P2> {
-    // Same axes, both reduction choices: the second spec's search space prices
-    // like the first's, so the cross-spec seed undercuts its per-placement
-    // AllReduce starting bounds.
+    // Same axes, both reduction choices, bounded retention so per-placement
+    // pruning decides which steps get predicted.
     [(vec![8, 4], vec![0]), (vec![8, 4], vec![1])]
         .into_iter()
         .map(|(axes, reduction)| {
@@ -178,53 +170,49 @@ fn counting_sessions(model: &Arc<CountingModel>) -> Vec<P2> {
                 .seed(0x5eed)
                 .cost_model(Arc::clone(model) as Arc<dyn CostModel>)
                 .cost_cache(false)
+                .keep_top(4)
                 .build()
                 .unwrap()
         })
         .collect()
 }
 
-/// Cross-spec bound sharing generalizes the single-sweep shared bound: two
-/// specs over the same machine and model, batched with `share_bounds`, issue
-/// strictly fewer step predictions than the same two specs each running under
-/// their own per-spec [`SharedBoundObserver`] — and the group still lands on
-/// the same overall best program.
+/// A batch shares the pool and nothing that steers a search: batching the two
+/// counting sessions issues exactly the step predictions of running them one
+/// by one, with bit-identical results.
 #[test]
 fn cross_spec_bound_sharing_issues_strictly_fewer_predictions() {
-    // Per-spec bounds: each session reduces through its own tree.
-    let per_spec_model = CountingModel::new();
-    let per_spec: Vec<ExperimentResult> = counting_sessions(&per_spec_model)
+    let serial_model = CountingModel::new();
+    let serial: Vec<ExperimentResult> = counting_sessions(&serial_model)
         .iter()
-        .map(|s| SharedBoundObserver::new().run(s).unwrap())
+        .map(|s| s.run().unwrap())
         .collect();
-    let per_spec_count = per_spec_model.count();
+    let serial_count = serial_model.count();
 
-    // One shared tree across the group.
     let batch_model = CountingModel::new();
-    let options = BatchOptions {
-        threads: 1,
-        share_bounds: true,
-        ..BatchOptions::default()
-    };
-    let outcome = run_batch(&counting_sessions(&batch_model), &options, &()).unwrap();
-    let batch_count = batch_model.count();
+    let outcome = run_batch(
+        &counting_sessions(&batch_model),
+        &BatchOptions::with_threads(2),
+        &(),
+    )
+    .unwrap();
+    assert_eq!(batch_model.count(), serial_count);
 
-    assert_eq!(outcome.groups, 1, "same machine + same model: one group");
-    assert!(
-        batch_count < per_spec_count,
-        "cross-spec bounds issued {batch_count} step predictions, \
-         per-spec bounds {per_spec_count}"
-    );
-    assert!(outcome.bounds[0].is_some(), "the group published a bound");
-
-    // The group's overall best survives sharing, bit for bit.
-    let best = |results: &[ExperimentResult]| {
-        results
-            .iter()
-            .filter_map(|r| r.best_overall())
-            .min_by(|a, b| a.measured_seconds.total_cmp(&b.measured_seconds))
-            .map(|p| (p.signature(), p.measured_seconds.to_bits()))
-            .unwrap()
-    };
-    assert_eq!(best(&per_spec), best(&outcome.results));
+    assert_eq!(outcome.results.len(), serial.len());
+    for (a, b) in serial.iter().zip(&outcome.results) {
+        assert_eq!(a.placements.len(), b.placements.len());
+        for (pa, pb) in a.placements.iter().zip(&b.placements) {
+            assert_eq!(pa.matrix, pb.matrix);
+            assert_eq!(pa.programs_pruned, pb.programs_pruned);
+            assert_eq!(pa.programs_retained, pb.programs_retained);
+            for (qa, qb) in pa.programs.iter().zip(&pb.programs) {
+                assert_eq!(qa.signature(), qb.signature());
+                assert_eq!(
+                    qa.predicted_seconds.to_bits(),
+                    qb.predicted_seconds.to_bits()
+                );
+                assert_eq!(qa.measured_seconds.to_bits(), qb.measured_seconds.to_bits());
+            }
+        }
+    }
 }

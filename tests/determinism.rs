@@ -316,7 +316,6 @@ fn batched_sessions_are_identical_to_serial_runs_for_any_thread_count() {
             let options = BatchOptions {
                 threads,
                 steal_seed,
-                ..BatchOptions::default()
             };
             let outcome = run_batch(&sessions, &options, &()).unwrap();
             assert_eq!(outcome.results.len(), serial.len());

@@ -1,18 +1,17 @@
 //! The run-observer contract: per-placement event sequences are complete and
-//! deterministic, the single-pass `SharedBoundObserver` implements
-//! cross-placement pruning deterministically inside one sweep — landing on
-//! the same retained best as the reference `TwoPassSharedBound` while issuing
-//! strictly fewer predictions — and the two-pass reference itself still lands
-//! on the exhaustive sweep's best program.
+//! deterministic, an observed run equals an unobserved one bit for bit, and
+//! the per-placement pruning behind `keep_top` keeps the best program, cuts
+//! predictions, and fails fast on a panicking worker.
 
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use p2::synthesis::LoweredStep;
 use p2::{
-    presets, AlphaBetaModel, CostModel, ExperimentResult, NcclAlgo, ParallelismMatrix,
-    PlacementEvaluation, Program, RunObserver, SharedBoundObserver, StepCost, SystemTopology,
-    TwoPassSharedBound, P2,
+    presets, run_batch, AlphaBetaModel, BatchOptions, CostModel, ExperimentResult, NcclAlgo,
+    ParallelismMatrix, PlacementEvaluation, Program, RunMode, RunObserver, StepCost,
+    SystemTopology, P2,
 };
 
 fn builder(threads: usize) -> p2::P2Builder {
@@ -52,10 +51,9 @@ impl Recorder {
 }
 
 impl RunObserver for Recorder {
-    fn on_placement_start(&self, index: usize, _matrix: &ParallelismMatrix) -> Option<f64> {
+    fn on_placement_start(&self, index: usize, _matrix: &ParallelismMatrix) {
         let mut events = self.events.lock().unwrap();
         Self::slot(&mut events, index).0 += 1;
-        None
     }
 
     fn on_program_retained(
@@ -122,99 +120,119 @@ fn assert_identical(a: &ExperimentResult, b: &ExperimentResult) {
     }
 }
 
+/// Observers only observe: a run watched by `Recorder` equals the plain
+/// single-thread run, bit for bit, at every thread count.
 #[test]
 fn single_pass_shared_bound_is_bit_identical_across_thread_counts() {
-    let mut serial_observer = SharedBoundObserver::new();
-    let serial = serial_observer.run(&session(1)).unwrap();
-    let serial_bound = serial_observer.bound().unwrap();
-    for threads in [0usize, 2, 4] {
-        let mut observer = SharedBoundObserver::new();
-        let parallel = observer.run(&session(threads)).unwrap();
-        assert_eq!(observer.bound().unwrap(), serial_bound);
-        assert_identical(&serial, &parallel);
+    let reference = session(1).run().unwrap();
+    for threads in [0usize, 1, 2, 4] {
+        let observed = session(threads).run_observed(&Recorder::default()).unwrap();
+        assert_identical(&reference, &observed);
     }
 }
 
+/// `keep_top` prunes each placement against its own best prediction, keeps
+/// the exhaustive run's best program bit for bit, and reports every program
+/// it keeps to the observer.
 #[test]
 fn single_pass_prunes_and_keeps_the_best_program() {
     let exhaustive = session(1).run().unwrap();
-    let mut observer = SharedBoundObserver::new();
-    let pruned = observer.run(&session(1)).unwrap();
+    let recorder = Recorder::default();
+    let pruned = builder(1)
+        .keep_top(4)
+        .build()
+        .unwrap()
+        .run_observed(&recorder)
+        .unwrap();
 
-    // Same search space, fewer retained evaluations: later placements prune
-    // against the published minima of their dyadic prefix.
     assert_eq!(pruned.total_programs(), exhaustive.total_programs());
     assert!(pruned.total_programs_retained() < exhaustive.total_programs_retained());
     assert!(pruned.total_programs_pruned() > 0);
 
-    // The globally best program survives — its own prediction is below every
-    // published bound — and its measurement is bit-identical.
     let a = exhaustive.best_overall().unwrap();
     let b = pruned.best_overall().unwrap();
     assert_eq!(a.signature(), b.signature());
     assert_eq!(a.measured_seconds, b.measured_seconds);
+
+    // A displaced program fires no second event, so the events per placement
+    // are at least what it finally retains.
+    let events = recorder.events.into_inner().unwrap();
+    assert_eq!(events.len(), pruned.placements.len());
+    for (placement, &(_, retained, _, _)) in pruned.placements.iter().zip(&events) {
+        assert!(retained >= placement.programs_retained);
+    }
 }
 
-#[test]
-fn two_pass_shared_bound_is_deterministic_and_prunes_whole_placements() {
-    let exhaustive = session(1).run().unwrap();
-    let mut serial_observer = TwoPassSharedBound::new();
-    let serial = serial_observer.run(&session(1)).unwrap();
-    let serial_bound = serial_observer.bound().unwrap();
-    for threads in [0usize, 4] {
-        let mut observer = TwoPassSharedBound::new();
-        let parallel = observer.run(&session(threads)).unwrap();
-        assert_eq!(observer.bound().unwrap(), serial_bound);
-        assert_identical(&serial, &parallel);
-    }
-
-    // The frozen global bound prunes placements whose programs all predict
-    // worse than it — the cross-placement pruning a per-placement bound
-    // cannot do.
-    assert_eq!(serial.total_programs(), exhaustive.total_programs());
-    assert!(serial.total_programs_retained() < exhaustive.total_programs_retained());
-    assert!(
-        serial.placements.iter().any(|pl| pl.programs_retained == 0),
-        "expected at least one placement to be pruned away entirely"
-    );
-    let a = exhaustive.best_overall().unwrap();
-    let b = serial.best_overall().unwrap();
-    assert_eq!(a.signature(), b.signature());
-    assert_eq!(a.measured_seconds, b.measured_seconds);
-}
-
-#[test]
-fn observer_bound_alone_activates_pruning_without_keep_top() {
-    // An observer returning a tight bound prunes even in the default
-    // keep-everything configuration.
-    struct TightBound(f64);
-    impl RunObserver for TightBound {
-        fn on_placement_start(&self, _index: usize, _matrix: &ParallelismMatrix) -> Option<f64> {
-            Some(self.0)
-        }
-    }
-    let exhaustive = session(1).run().unwrap();
-    let global_best_predicted = exhaustive
+/// `(placement index, signature)` of every program whose measured time is not
+/// its prediction — the programs a shortlist run actually measured.
+fn measured_programs(result: &ExperimentResult) -> BTreeSet<(usize, String)> {
+    result
         .placements
         .iter()
-        .flat_map(|pl| pl.programs.iter().map(|p| p.predicted_seconds))
-        .fold(f64::INFINITY, f64::min);
-    let pruned = session(1)
-        .run_observed(&TightBound(global_best_predicted))
-        .unwrap();
-    assert_eq!(pruned.total_programs(), exhaustive.total_programs());
-    assert!(pruned.total_programs_retained() < exhaustive.total_programs_retained());
-    // Survivors are exactly the programs within the slack envelope.
-    let slack = session(1).config().prune_slack;
-    for pl in &pruned.placements {
-        for p in &pl.programs {
-            assert!(p.predicted_seconds <= global_best_predicted * (1.0 + slack) * (1.0 + 1e-12));
-        }
+        .enumerate()
+        .flat_map(|(i, pl)| {
+            pl.programs
+                .iter()
+                .filter(|p| p.measured_seconds.to_bits() != p.predicted_seconds.to_bits())
+                .map(move |p| (i, p.signature()))
+        })
+        .collect()
+}
+
+/// `Shortlist(5)` measures exactly the 5 best predictions of a `PredictOnly`
+/// run, and does so identically at every thread count.
+#[test]
+fn two_pass_shared_bound_is_deterministic_and_prunes_whole_placements() {
+    let shortlist = |threads| {
+        session(threads)
+            .with_mode(RunMode::Shortlist(5))
+            .run()
+            .unwrap()
+    };
+    let serial = shortlist(1);
+    let measured = measured_programs(&serial);
+    assert_eq!(measured.len(), 5, "measured: {measured:?}");
+
+    let predicted = session(1).with_mode(RunMode::PredictOnly).run().unwrap();
+    let mut ranked: Vec<(f64, usize, String)> = predicted
+        .placements
+        .iter()
+        .enumerate()
+        .flat_map(|(i, pl)| {
+            pl.programs
+                .iter()
+                .map(move |p| (p.predicted_seconds, i, p.signature()))
+        })
+        .collect();
+    ranked.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let best_five: BTreeSet<(usize, String)> = ranked
+        .into_iter()
+        .take(5)
+        .map(|(_, i, signature)| (i, signature))
+        .collect();
+    assert!(
+        measured.is_subset(&best_five),
+        "measured {measured:?}, best predictions {best_five:?}"
+    );
+
+    for threads in [0usize, 4] {
+        assert_identical(&serial, &shortlist(threads));
+    }
+}
+
+/// Without `keep_top` nothing is pruned, whatever observer watches the run.
+#[test]
+fn observer_bound_alone_activates_pruning_without_keep_top() {
+    let observed = session(1).run_observed(&Recorder::default()).unwrap();
+    assert!(observed.total_programs() > 0);
+    for placement in &observed.placements {
+        assert_eq!(placement.programs_pruned, 0);
+        assert_eq!(placement.programs_retained, placement.num_programs);
     }
 }
 
 /// An α–β model that counts every step prediction it serves — the counter
-/// behind the "single pass issues strictly fewer predictions" pin.
+/// behind the "pruning issues strictly fewer predictions" pin.
 #[derive(Debug)]
 struct CountingModel {
     inner: AlphaBetaModel,
@@ -253,13 +271,21 @@ impl CostModel for CountingModel {
     }
 }
 
-/// A model whose predictions blow up mid-sweep: the sweep must fail fast —
-/// the abort guard publishes the panicking placement's slot so workers
-/// blocked on the shared-bound reduction tree drain instead of hanging.
+/// A model whose predictions blow up mid-sweep: the sweep must fail with the
+/// panic instead of hanging or returning a partial result.
 #[derive(Debug)]
 struct ExplodingModel {
     inner: AlphaBetaModel,
     calls_left: AtomicUsize,
+}
+
+impl ExplodingModel {
+    fn new(calls: usize) -> Arc<Self> {
+        Arc::new(ExplodingModel {
+            inner: AlphaBetaModel::new(presets::a100_system(2), NcclAlgo::Ring, 1.0e9).unwrap(),
+            calls_left: AtomicUsize::new(calls),
+        })
+    }
 }
 
 impl CostModel for ExplodingModel {
@@ -287,16 +313,15 @@ impl CostModel for ExplodingModel {
 #[test]
 fn panicking_worker_fails_the_shared_bound_run_instead_of_hanging() {
     // Count the predictions a clean run of the same session makes, and blow
-    // up halfway through them: enough predictions to complete some
-    // placements, then a panic while later placements wait on the reduction
-    // tree.
+    // up halfway through them, while other placements are still in flight.
     let counting = CountingModel::new();
-    let clean = builder(4)
+    builder(4)
         .cost_model(Arc::clone(&counting) as Arc<dyn CostModel>)
         .cost_cache(false)
         .build()
+        .unwrap()
+        .run()
         .unwrap();
-    SharedBoundObserver::new().run(&clean).unwrap();
     let clean_count = counting.count();
     let inject_at = clean_count / 2;
     assert!(
@@ -304,66 +329,69 @@ fn panicking_worker_fails_the_shared_bound_run_instead_of_hanging() {
         "a clean run makes {clean_count} predictions, so a panic injected at \
          prediction {inject_at} would never fire"
     );
-    let model = Arc::new(ExplodingModel {
-        inner: AlphaBetaModel::new(presets::a100_system(2), NcclAlgo::Ring, 1.0e9).unwrap(),
-        calls_left: AtomicUsize::new(inject_at),
-    });
-    let session = builder(4)
-        .cost_model(model as Arc<dyn CostModel>)
-        .cost_cache(false)
-        .build()
-        .unwrap();
+    let exploding = |threads: usize| {
+        builder(threads)
+            .cost_model(ExplodingModel::new(inject_at) as Arc<dyn CostModel>)
+            .cost_cache(false)
+            .build()
+            .unwrap()
+    };
+    // A hang would time these out; the pin is that the panic surfaces.
+    let session = exploding(4);
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| session.run()));
+    assert!(
+        outcome.is_err(),
+        "injected panic must propagate out of run()"
+    );
+    let sessions = [exploding(2)];
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        SharedBoundObserver::new().run(&session)
+        run_batch(&sessions, &BatchOptions::with_threads(2), &())
     }));
-    // A hang would time this test out; the pin is that the panic surfaces.
-    assert!(outcome.is_err(), "injected panic must propagate");
+    assert!(
+        outcome.is_err(),
+        "injected panic must propagate out of run_batch"
+    );
 }
 
-/// For any thread count, the single-pass bound lands on the same retained
-/// best as the two-pass reference while issuing strictly fewer step
-/// predictions (the cost cache is disabled so the counter sees every
-/// prediction the engine asks for).
+/// Per-placement pruning saves predictions: with `keep_top(4)` a
+/// `Shortlist(4)` run issues strictly fewer step predictions than the
+/// unbounded one, lands on the same best program bit for bit, and issues the
+/// same number at every thread count (the cost cache is disabled so the
+/// counter sees every prediction the engine asks for).
 #[test]
 fn single_pass_matches_two_pass_best_with_strictly_fewer_predictions() {
-    let mut single_counts = Vec::new();
-    let mut two_pass_counts = Vec::new();
+    let mut bounded_counts = Vec::new();
+    let mut unbounded_counts = Vec::new();
     for threads in [1usize, 4] {
-        let single_model = CountingModel::new();
-        let single_session = builder(threads)
-            .cost_model(Arc::clone(&single_model) as Arc<dyn CostModel>)
-            .cost_cache(false)
-            .build()
-            .unwrap();
-        let single = SharedBoundObserver::new().run(&single_session).unwrap();
+        let run = |keep_top: Option<usize>| {
+            let model = CountingModel::new();
+            let mut builder = builder(threads)
+                .cost_model(Arc::clone(&model) as Arc<dyn CostModel>)
+                .cost_cache(false)
+                .mode(RunMode::Shortlist(4));
+            if let Some(k) = keep_top {
+                builder = builder.keep_top(k);
+            }
+            let result = builder.build().unwrap().run().unwrap();
+            (result, model.count())
+        };
+        let (bounded, bounded_count) = run(Some(4));
+        let (unbounded, unbounded_count) = run(None);
 
-        let two_pass_model = CountingModel::new();
-        let two_pass_session = builder(threads)
-            .cost_model(Arc::clone(&two_pass_model) as Arc<dyn CostModel>)
-            .cost_cache(false)
-            .build()
-            .unwrap();
-        let two_pass = TwoPassSharedBound::new().run(&two_pass_session).unwrap();
-
-        // Same retained best, bit-identical measurement.
-        let a = single.best_overall().unwrap();
-        let b = two_pass.best_overall().unwrap();
+        let a = bounded.best_overall().unwrap();
+        let b = unbounded.best_overall().unwrap();
         assert_eq!(a.signature(), b.signature());
         assert_eq!(a.measured_seconds, b.measured_seconds);
         assert_eq!(a.predicted_seconds, b.predicted_seconds);
 
-        // Strictly fewer predictions: nothing is predicted twice.
-        let single_count = single_model.count();
-        let two_pass_count = two_pass_model.count();
         assert!(
-            single_count < two_pass_count,
-            "single pass issued {single_count} step predictions, \
-             two-pass {two_pass_count}"
+            bounded_count < unbounded_count,
+            "keep_top issued {bounded_count} step predictions, \
+             the unbounded run {unbounded_count}"
         );
-        single_counts.push(single_count);
-        two_pass_counts.push(two_pass_count);
+        bounded_counts.push(bounded_count);
+        unbounded_counts.push(unbounded_count);
     }
-    // The prediction workload itself is thread-count-deterministic.
-    assert!(single_counts.windows(2).all(|w| w[0] == w[1]));
-    assert!(two_pass_counts.windows(2).all(|w| w[0] == w[1]));
+    assert!(bounded_counts.windows(2).all(|w| w[0] == w[1]));
+    assert!(unbounded_counts.windows(2).all(|w| w[0] == w[1]));
 }

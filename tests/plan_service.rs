@@ -21,9 +21,8 @@ use p2::{Plan, PlanRequest, PlanSource, Planner, PlannerConfig, RunObserver};
 struct SweepCounter(AtomicUsize);
 
 impl RunObserver for SweepCounter {
-    fn on_placement_start(&self, _index: usize, _matrix: &ParallelismMatrix) -> Option<f64> {
+    fn on_placement_start(&self, _index: usize, _matrix: &ParallelismMatrix) {
         self.0.fetch_add(1, Ordering::SeqCst);
-        None
     }
 }
 
