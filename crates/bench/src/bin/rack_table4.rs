@@ -7,8 +7,9 @@
 //! work-stealing pool ([`p2_bench::run_batch`]): placement jobs of every bin
 //! coexist in the deques, so a `--threads` budget is a global cap instead of
 //! a per-bin one. Each placement keeps its 8 best predictions (`keep_top`)
-//! and each bin measures its 10 best (`Shortlist(10)`); the placement rows
-//! are identical for any thread count.
+//! and each bin measures its 10 best (`Shortlist(10)`). Every line but the
+//! footer is identical for any thread count; the footer's steal and
+//! shared-state reuse counts depend on the schedule.
 //!
 //! Run with `cargo run --release -p p2_bench --bin rack_table4`
 //! `[-- --cost-model alpha-beta|loggp|calibrated] [--threads N]`.
@@ -72,15 +73,13 @@ fn main() {
         let memo_misses = result.total_suffix_memo_misses();
         println!(
             "  search: {} synthesis states explored, peak device-state interner {} \
-             (shared across the sweep: {}), suffix-memo hit rate {:.1}%, {} shared-state \
-             reuses",
+             (shared across the sweep: {}), suffix-memo hit rate {:.1}%",
             result.total_states_explored(),
             result.peak_unique_device_states(),
             result
                 .shared_unique_device_states
                 .map_or_else(|| "off".to_string(), |n| n.to_string()),
             memo_hits as f64 / (memo_hits + memo_misses).max(1) as f64 * 100.0,
-            result.total_shared_states_reused(),
         );
         println!(
             "  {:<26} {:>11} {:>11} {:>9}",
@@ -114,9 +113,17 @@ fn main() {
             );
         }
     }
+    // Which placement interns a shared state first depends on the schedule,
+    // so the reuse count sits in the footer with the steal count, and every
+    // line above it is the same for any thread count.
+    let shared_reuses: usize = outcome
+        .results
+        .iter()
+        .map(|result| result.total_shared_states_reused())
+        .sum();
     println!(
-        "(batch on {} threads, {} steals; '*' marks the overall optimum; \
-         speedups are vs. each placement's own AllReduce)",
-        outcome.threads, outcome.steals
+        "(batch on {} threads, {} steals, {} shared-state reuses; '*' marks the overall \
+         optimum; speedups are vs. each placement's own AllReduce)",
+        outcome.threads, outcome.steals, shared_reuses
     );
 }

@@ -289,6 +289,7 @@ pub fn sweep_synthesis(
                         SinkControl::Continue
                     })
                     .expect("synthesized programs lower")
+                    .0
                     .programs_emitted
             }
             (None, None) => synth.synthesize(max_program_size).programs.len(),

@@ -11,7 +11,7 @@ use p2_placement::{
     enumerate_matrices, for_each_matrix, MatrixControl, MatrixSink, ParallelismMatrix,
 };
 use p2_synthesis::{
-    baseline_allreduce, EmittedProgram, LoweredProgram, MemoBank, Program, SinkControl, Synthesizer,
+    baseline_allreduce, EmittedProgram, LoweredStep, MemoBank, Program, SinkControl, Synthesizer,
 };
 
 use crate::builder::P2Builder;
@@ -40,6 +40,16 @@ pub enum RunMode {
     PredictOnly,
 }
 
+/// One program the placement's sink keeps while the stream runs: the program,
+/// its step ids into the search's step table (the table itself is only
+/// complete once the stream ends) and its times.
+struct Retained {
+    program: Program,
+    step_ids: Box<[usize]>,
+    predicted: f64,
+    measured: f64,
+}
+
 /// One retained candidate in the bounded top-K retention heap, ordered so the
 /// heap's maximum is the *worst* retained program: highest measured time, ties
 /// broken toward the latest arrival (so on equal times the earlier program
@@ -48,16 +58,13 @@ pub enum RunMode {
 /// shortlist mode, where nothing is measured on the stream, `measured` holds
 /// the prediction, exactly as the reported evaluations do.
 struct HeapEntry {
-    predicted: f64,
-    measured: f64,
     seq: usize,
-    program: Program,
-    lowered: LoweredProgram,
+    retained: Retained,
 }
 
 impl HeapEntry {
     fn rank(&self) -> (f64, usize) {
-        (self.measured, self.seq)
+        (self.retained.measured, self.seq)
     }
 }
 
@@ -77,8 +84,9 @@ impl PartialOrd for HeapEntry {
 
 impl Ord for HeapEntry {
     fn cmp(&self, other: &Self) -> Ordering {
-        self.measured
-            .total_cmp(&other.measured)
+        self.retained
+            .measured
+            .total_cmp(&other.retained.measured)
             .then(self.seq.cmp(&other.seq))
     }
 }
@@ -334,7 +342,8 @@ impl P2 {
     /// [`RunMode::Shortlist`]. With the simulator's top-10 accuracy, a
     /// shortlist of 10 almost always contains the true optimum at a fraction
     /// of the evaluation cost; this is how P² avoids "massive evaluations of
-    /// synthesis results".
+    /// synthesis results". Each measurement reads its program's steps
+    /// through the placement's shared step table.
     ///
     /// Combined with [`P2Config::keep_top`] the prediction pass itself is
     /// bounded. With K ≥ `shortlist`, top-K displacement alone cannot change
@@ -366,18 +375,21 @@ impl P2 {
             .iter()
             .map(|&(pi, qi, _)| (pi, qi))
             .collect();
-        // Measurements fan out as scheduler jobs (each clones its lowered
-        // program, so nothing borrows the result being patched); noise depends
-        // only on the seed and program content, and a per-job executor's step
-        // memo only saves work and never changes a value, so the values match
-        // a serial run exactly.
+        // Measurements fan out as scheduler jobs. Each job holds its
+        // program's step ids and a clone of its placement's step-table `Arc`,
+        // so nothing borrows the result being patched and no step is copied;
+        // noise depends only on the seed and program content, and a per-job
+        // executor's step memo only saves work and never changes a value, so
+        // the values match a serial run exactly.
         let handles: Vec<JobHandle<Result<f64, P2Error>>> = chosen
             .iter()
             .map(|&(pi, qi)| {
-                let lowered = result.placements[pi].programs[qi].lowered.clone();
+                let evaluation = &result.placements[pi].programs[qi];
+                let step_ids = evaluation.step_ids().to_vec();
+                let table = Arc::clone(evaluation.table());
                 scheduler.spawn(move || {
                     let executor = Executor::new(&self.config.system, self.exec_config())?;
-                    Ok(executor.measure(&lowered))
+                    Ok(executor.measure_steps(step_ids.iter().map(|&id| &table[id])))
                 })
             })
             .collect();
@@ -423,11 +435,16 @@ impl P2 {
     /// ([`Synthesizer::for_each_lowered`]) emits one program at a time with
     /// its steps as ids into the search's step table, and the program is
     /// costed incrementally and either retained or dropped on the spot.
-    /// Each distinct step is lowered once per placement and predicted the
-    /// first time a program prefix reaches it ([`StepTimes`]), and the
-    /// placement's executor simulates each distinct step once; a program's
-    /// steps are cloned into a [`LoweredProgram`] only when it is measured
-    /// or retained. With the default configuration (`keep_top = None`)
+    /// Each distinct edge step is lowered once per placement, each distinct
+    /// layout is predicted the first time a program prefix reaches it
+    /// ([`StepTimes`]), and the placement's executor simulates each distinct
+    /// step once. A measured program is measured through the table, and a
+    /// retained one keeps only its step ids. When the stream ends, the table
+    /// is frozen into one shared `Arc` that every retained
+    /// [`ProgramEvaluation`] points into, so no program gets a copy of its
+    /// steps; under `keep_top` the frozen table holds only the steps the
+    /// retained programs use, with their ids renumbered. With the default
+    /// configuration (`keep_top = None`)
     /// every program is retained and the results are bit-compatible with the
     /// old materializing pipeline; with [`P2Config::keep_top`] only a bounded
     /// top-K heap survives, ranked by the same key the final result ranking
@@ -479,7 +496,7 @@ impl P2 {
         let keep_top = self.config.keep_top;
         let prune_slack = self.config.prune_slack;
         let mut step_times = StepTimes::new(model.as_ref());
-        let mut programs: Vec<ProgramEvaluation> = Vec::new();
+        let mut retained: Vec<Retained> = Vec::new();
         let mut heap: BinaryHeap<HeapEntry> = BinaryHeap::new();
         let mut num_programs = 0usize;
         let mut seq = 0usize;
@@ -495,7 +512,7 @@ impl P2 {
         let mut evaluation_time = std::time::Duration::ZERO;
 
         let start = Instant::now();
-        let stats = synthesizer.for_each_lowered(
+        let (stats, table) = synthesizer.for_each_lowered(
             self.config.max_program_size,
             |emitted: &EmittedProgram<'_>| {
                 let eval_start = Instant::now();
@@ -511,29 +528,28 @@ impl P2 {
                     bound = best_predicted * (1.0 + prune_slack);
                     if !measure_programs && heap.len() == k {
                         if let Some(worst) = heap.peek() {
-                            bound = bound.min(worst.measured);
+                            bound = bound.min(worst.retained.measured);
                         }
                     }
                 }
                 if let Some(predicted) = step_times.program_time(emitted, bound) {
                     best_predicted = best_predicted.min(predicted);
-                    // Steps are cloned out of the table only for programs
-                    // that are measured or kept.
-                    let measured_lowered = measure_programs.then(|| emitted.to_lowered());
-                    let measured = measured_lowered
-                        .as_ref()
-                        .map_or(predicted, |lowered| executor.measure(lowered));
-                    let lowered = || measured_lowered.unwrap_or_else(|| emitted.to_lowered());
+                    let measured = if measure_programs {
+                        executor.measure_steps(emitted.steps())
+                    } else {
+                        predicted
+                    };
+                    let keep = || Retained {
+                        program: program.clone(),
+                        step_ids: emitted.step_ids.into(),
+                        predicted,
+                        measured,
+                    };
                     match keep_top {
                         // No retention limit: keep every survivor.
                         None => {
                             observer.on_program_retained(index, program, predicted, measured);
-                            programs.push(ProgramEvaluation {
-                                program: program.clone(),
-                                lowered: lowered(),
-                                predicted_seconds: predicted,
-                                measured_seconds: measured,
-                            });
+                            retained.push(keep());
                         }
                         Some(k) => {
                             let rank = (measured, seq);
@@ -546,11 +562,8 @@ impl P2 {
                                     heap.pop();
                                 }
                                 heap.push(HeapEntry {
-                                    predicted,
-                                    measured,
                                     seq: rank.1,
-                                    program: program.clone(),
-                                    lowered: lowered(),
+                                    retained: keep(),
                                 });
                             }
                         }
@@ -566,19 +579,29 @@ impl P2 {
             .saturating_sub(stats.lower_duration);
         debug_assert_eq!(stats.programs_emitted, num_programs);
 
-        if keep_top.is_some() {
-            let mut entries = heap.into_vec();
-            entries.sort();
-            programs = entries
-                .into_iter()
-                .map(|entry| ProgramEvaluation {
-                    program: entry.program,
-                    lowered: entry.lowered,
-                    predicted_seconds: entry.predicted,
-                    measured_seconds: entry.measured,
-                })
-                .collect();
-        }
+        let table = match keep_top {
+            None => table,
+            Some(_) => {
+                let mut entries = heap.into_vec();
+                entries.sort();
+                retained = entries.into_iter().map(|entry| entry.retained).collect();
+                compact_table(&table, &mut retained)
+            }
+        };
+        let num_devices = matrix.num_devices();
+        let mut programs: Vec<ProgramEvaluation> = retained
+            .into_iter()
+            .map(|r| {
+                ProgramEvaluation::new(
+                    r.program,
+                    r.step_ids,
+                    Arc::clone(&table),
+                    num_devices,
+                    r.predicted,
+                    r.measured,
+                )
+            })
+            .collect();
         programs.sort_by(|a, b| a.measured_seconds.total_cmp(&b.measured_seconds));
 
         let evaluation = PlacementEvaluation {
@@ -617,6 +640,22 @@ impl P2 {
         self.config.shared_tables = Some((tables, bank));
         self
     }
+}
+
+/// The steps of `table` that `retained` programs use, renumbered in
+/// first-use order, with every program's step ids rewritten to match: under
+/// a retention bound a placement keeps a handful of programs, and its result
+/// should not hold the search's whole table alive for them.
+fn compact_table(table: &[LoweredStep], retained: &mut [Retained]) -> Arc<[LoweredStep]> {
+    let mut new_ids: Vec<Option<usize>> = vec![None; table.len()];
+    let mut steps: Vec<LoweredStep> = Vec::new();
+    for id in retained.iter_mut().flat_map(|r| r.step_ids.iter_mut()) {
+        *id = *new_ids[*id].get_or_insert_with(|| {
+            steps.push(table[*id].clone());
+            steps.len() - 1
+        });
+    }
+    steps.into()
 }
 
 /// A sweep whose placement-evaluation jobs have been submitted to a
@@ -731,7 +770,7 @@ mod tests {
             assert!(pl.programs.iter().any(|p| p.signature() == "AllReduce"));
             for p in &pl.programs {
                 assert!(p.predicted_seconds > 0.0 && p.measured_seconds > 0.0);
-                assert!(p.lowered.groups_are_disjoint());
+                assert!(p.lowered().groups_are_disjoint());
             }
         }
         assert!(result.total_programs() > 0);

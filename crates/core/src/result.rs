@@ -1,15 +1,27 @@
+use std::fmt;
+use std::sync::Arc;
 use std::time::Duration;
 
 use p2_placement::ParallelismMatrix;
-use p2_synthesis::{LoweredProgram, Program};
+use p2_synthesis::{LoweredProgram, LoweredStep, Program};
 
 /// One synthesized program together with its predicted and measured times.
-#[derive(Debug, Clone)]
+///
+/// The program's lowering is not copied out of the search: it is a list of
+/// step ids into its placement's frozen step table, an `Arc` every retained
+/// program of the placement shares. [`ProgramEvaluation::steps`] walks the
+/// lowered steps in place and [`ProgramEvaluation::lowered`] assembles a
+/// [`LoweredProgram`] on demand.
+#[derive(Clone)]
 pub struct ProgramEvaluation {
     /// The DSL program.
     pub program: Program,
-    /// Its lowering to physical device groups.
-    pub lowered: LoweredProgram,
+    /// Per instruction, in order: the id of its lowered step in `table`.
+    step_ids: Box<[usize]>,
+    /// The placement's distinct lowered steps, shared by its programs.
+    table: Arc<[LoweredStep]>,
+    /// Number of physical devices of the system the steps target.
+    num_devices: usize,
     /// Time predicted by the analytic cost model (the paper's simulator), in seconds.
     pub predicted_seconds: f64,
     /// Time reported by the execution substrate (the paper's measurement), in seconds.
@@ -17,9 +29,73 @@ pub struct ProgramEvaluation {
 }
 
 impl ProgramEvaluation {
+    /// An evaluation of `program`, whose lowered steps are `table[id]` for
+    /// each of `step_ids` in order, on a system of `num_devices` devices.
+    pub(crate) fn new(
+        program: Program,
+        step_ids: Box<[usize]>,
+        table: Arc<[LoweredStep]>,
+        num_devices: usize,
+        predicted_seconds: f64,
+        measured_seconds: f64,
+    ) -> Self {
+        debug_assert!(step_ids.iter().all(|&id| id < table.len()));
+        ProgramEvaluation {
+            program,
+            step_ids,
+            table,
+            num_devices,
+            predicted_seconds,
+            measured_seconds,
+        }
+    }
+
+    /// The program's lowered steps, in program order, read in place from its
+    /// placement's step table.
+    pub fn steps(&self) -> impl Iterator<Item = &LoweredStep> + Clone + '_ {
+        self.step_ids.iter().map(|&id| &self.table[id])
+    }
+
+    /// Per instruction, in order: the id of its lowered step in
+    /// [`ProgramEvaluation::table`].
+    pub fn step_ids(&self) -> &[usize] {
+        &self.step_ids
+    }
+
+    /// The step table of the program's placement, shared by every program
+    /// the placement retained.
+    pub fn table(&self) -> &Arc<[LoweredStep]> {
+        &self.table
+    }
+
+    /// The program's lowering to physical device groups, copied out of the
+    /// step table.
+    pub fn lowered(&self) -> LoweredProgram {
+        LoweredProgram {
+            steps: self.steps().cloned().collect(),
+            num_devices: self.num_devices,
+        }
+    }
+
     /// The `Collective-Collective-…` signature of the program.
     pub fn signature(&self) -> String {
-        self.lowered.signature()
+        self.steps()
+            .map(|step| step.collective.to_string())
+            .collect::<Vec<_>>()
+            .join("-")
+    }
+}
+
+impl fmt::Debug for ProgramEvaluation {
+    /// Prints the program's own steps, not its placement's whole table.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ProgramEvaluation")
+            .field("program", &self.program)
+            .field("steps", &self.steps().collect::<Vec<_>>())
+            .field("num_devices", &self.num_devices)
+            .field("predicted_seconds", &self.predicted_seconds)
+            .field("measured_seconds", &self.measured_seconds)
+            .finish()
     }
 }
 
@@ -283,26 +359,25 @@ mod tests {
     use p2_collectives::Collective;
     use p2_synthesis::{GroupExec, LoweredStep};
 
-    fn lowered(sig: Collective) -> LoweredProgram {
-        LoweredProgram {
-            steps: vec![LoweredStep {
-                collective: sig,
-                groups: vec![GroupExec {
-                    devices: vec![0, 1],
-                    input_fraction: 1.0,
-                }],
+    fn step(collective: Collective) -> LoweredStep {
+        LoweredStep {
+            collective,
+            groups: vec![GroupExec {
+                devices: vec![0, 1],
+                input_fraction: 1.0,
             }],
-            num_devices: 4,
         }
     }
 
     fn eval(pred: f64, meas: f64) -> ProgramEvaluation {
-        ProgramEvaluation {
-            program: Program::empty(),
-            lowered: lowered(Collective::AllReduce),
-            predicted_seconds: pred,
-            measured_seconds: meas,
-        }
+        ProgramEvaluation::new(
+            Program::empty(),
+            Box::new([0]),
+            Arc::from(vec![step(Collective::AllReduce)]),
+            4,
+            pred,
+            meas,
+        )
     }
 
     fn placement(allreduce: f64, programs: Vec<ProgramEvaluation>) -> PlacementEvaluation {
@@ -332,6 +407,33 @@ mod tests {
         assert_eq!(pl.programs_beating_allreduce(), 2);
         assert!((pl.speedup() - 1.25).abs() < 1e-12);
         assert_eq!(pl.optimal_measured(), 8.0);
+    }
+
+    #[test]
+    fn steps_read_through_the_ids_of_a_shared_table() {
+        let table: Arc<[LoweredStep]> = Arc::from(vec![
+            step(Collective::ReduceScatter),
+            step(Collective::AllReduce),
+            step(Collective::AllGather),
+        ]);
+        let p = ProgramEvaluation::new(
+            Program::empty(),
+            Box::new([0, 2]),
+            Arc::clone(&table),
+            4,
+            1.0,
+            1.0,
+        );
+        assert!(Arc::ptr_eq(p.table(), &table));
+        assert_eq!(p.step_ids(), &[0, 2]);
+        assert_eq!(p.signature(), "ReduceScatter-AllGather");
+        assert_eq!(p.signature(), p.lowered().signature());
+        assert_eq!(p.lowered().num_devices, 4);
+        assert_eq!(p.steps().count(), 2);
+        // Debug shows the program's own steps, not the whole table.
+        let debug = format!("{p:?}");
+        assert!(debug.contains("ReduceScatter") && debug.contains("AllGather"));
+        assert!(!debug.contains("AllReduce"), "{debug}");
     }
 
     #[test]

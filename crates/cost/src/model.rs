@@ -194,8 +194,9 @@ impl<'m> CostAccumulator<'m> {
 ///
 /// A step is predicted the first time a program prefix reaches it and then
 /// reused by every program through it, so prediction scales with the search
-/// DAG rather than the program count; steps reached only past a pruned
-/// prefix are never predicted. [`StepTimes::program_time`] folds exactly the
+/// DAG rather than the program count; the table holds each distinct layout
+/// under one id, so no layout is predicted twice, and steps reached only
+/// past a pruned prefix are never predicted. [`StepTimes::program_time`] folds exactly the
 /// values [`CostModel::program_time`] would, in the same order, so the totals
 /// are bit-identical.
 #[derive(Debug)]
@@ -407,8 +408,7 @@ mod tests {
         };
         let reference = alpha_beta();
         let mut times = StepTimes::new(&counting);
-        let mut table_len = 0;
-        synth
+        let (_, table) = synth
             .for_each_lowered(4, |emitted: &EmittedProgram<'_>| {
                 let lowered = emitted.to_lowered();
                 let folded = times.program_time(emitted, f64::INFINITY).unwrap();
@@ -416,11 +416,10 @@ mod tests {
                 // A bound below the first step's time cuts the fold there.
                 let first = reference.step_time(&lowered.steps[0]);
                 assert_eq!(times.program_time(emitted, first * 0.5), None);
-                table_len = emitted.table.len();
                 SinkControl::Continue
             })
             .unwrap();
-        assert_eq!(counting.calls.load(Ordering::Relaxed), table_len);
+        assert_eq!(counting.calls.load(Ordering::Relaxed), table.len());
     }
 
     #[test]

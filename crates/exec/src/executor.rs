@@ -75,24 +75,33 @@ impl<'a> Executor<'a> {
     /// seconds (the paper averages 10 real runs per program). The runs are
     /// summed from `+0.0`, so a program without steps measures `+0.0`.
     pub fn measure(&self, program: &LoweredProgram) -> f64 {
-        let base = self.noise_free_times(program);
+        self.measure_steps(program.steps.iter())
+    }
+
+    /// [`Executor::measure`] over a program given as its sequence of steps,
+    /// for callers that keep steps in a shared table rather than in a
+    /// [`LoweredProgram`]. The sequence is walked once for the noise-free
+    /// step times and once per run for the noise seed.
+    pub fn measure_steps<'s>(&self, steps: impl Iterator<Item = &'s LoweredStep> + Clone) -> f64 {
+        let base = self.noise_free_times(steps.clone());
         let total = (0..self.config.repeats).fold(0.0, |acc, run| {
-            acc + self.run_time(program, &base, run as u64)
+            acc + self.run_time(steps.clone(), &base, run as u64)
         });
         total / self.config.repeats as f64
     }
 
     /// Measures a program and returns every simulated run.
     pub fn measure_runs(&self, program: &LoweredProgram) -> Vec<f64> {
-        let base = self.noise_free_times(program);
+        let base = self.noise_free_times(program.steps.iter());
         (0..self.config.repeats)
-            .map(|run| self.run_time(program, &base, run as u64))
+            .map(|run| self.run_time(program.steps.iter(), &base, run as u64))
             .collect()
     }
 
     /// Simulates a single run of a program.
     pub fn measure_once(&self, program: &LoweredProgram, run: u64) -> f64 {
-        self.run_time(program, &self.noise_free_times(program), run)
+        let base = self.noise_free_times(program.steps.iter());
+        self.run_time(program.steps.iter(), &base, run)
     }
 
     /// Checks that a program only references devices of this system.
@@ -117,11 +126,14 @@ impl<'a> Executor<'a> {
         Ok(())
     }
 
-    fn rng_for(&self, program: &LoweredProgram, run: u64) -> NoiseRng {
+    /// The noise stream of one run of the program made of `steps`: seeded by
+    /// the seed, the run, then per step its collective and each group's
+    /// device list.
+    fn rng_for<'s>(&self, steps: impl Iterator<Item = &'s LoweredStep>, run: u64) -> NoiseRng {
         let mut hasher = DefaultHasher::new();
         self.config.seed.hash(&mut hasher);
         run.hash(&mut hasher);
-        for step in &program.steps {
+        for step in steps {
             step.collective.hash(&mut hasher);
             for group in &step.groups {
                 group.devices.hash(&mut hasher);
@@ -130,13 +142,14 @@ impl<'a> Executor<'a> {
         NoiseRng::seed_from_u64(hasher.finish())
     }
 
-    /// The noise-free time of every step of `program`, each simulated only
-    /// the first time this executor sees it.
-    fn noise_free_times(&self, program: &LoweredProgram) -> Vec<Option<f64>> {
+    /// The noise-free time of every step in `steps`, each simulated only the
+    /// first time this executor sees it.
+    fn noise_free_times<'s>(
+        &self,
+        steps: impl Iterator<Item = &'s LoweredStep>,
+    ) -> Vec<Option<f64>> {
         let mut memo = self.memo.lock().expect("executor step memo poisoned");
-        program
-            .steps
-            .iter()
+        steps
             .map(|step| {
                 let hash = step.layout_hash();
                 if let Some(&(_, time)) = memo
@@ -152,11 +165,16 @@ impl<'a> Executor<'a> {
             .collect()
     }
 
-    /// One run of a program whose steps take `base` noise-free: every step
-    /// with rounds draws its noise in step order from the run's seed, and the
-    /// step times are summed from `+0.0`.
-    fn run_time(&self, program: &LoweredProgram, base: &[Option<f64>], run: u64) -> f64 {
-        let mut rng = self.rng_for(program, run);
+    /// One run of the program made of `steps`, which take `base` noise-free:
+    /// every step with rounds draws its noise in step order from the run's
+    /// seed, and the step times are summed from `+0.0`.
+    fn run_time<'s>(
+        &self,
+        steps: impl Iterator<Item = &'s LoweredStep>,
+        base: &[Option<f64>],
+        run: u64,
+    ) -> f64 {
+        let mut rng = self.rng_for(steps, run);
         base.iter().fold(0.0, |acc, &time| {
             acc + time.map_or(0.0, |time| time * self.noise(&mut rng))
         })
@@ -236,7 +254,7 @@ impl<'a> Executor<'a> {
 #[cfg(test)]
 impl Executor<'_> {
     fn measure_once_unmemoized(&self, program: &LoweredProgram, run: u64) -> f64 {
-        let mut rng = self.rng_for(program, run);
+        let mut rng = self.rng_for(program.steps.iter(), run);
         program.steps.iter().fold(0.0, |acc, step| {
             acc + self
                 .simulate_per_round(step)

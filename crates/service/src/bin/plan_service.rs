@@ -269,14 +269,25 @@ fn request_line_from_flags(args: &[String]) -> String {
     format!("{{{}}}", fields.join(","))
 }
 
-fn send_line(stream: &mut TcpStream, line: &str) -> String {
-    writeln!(stream, "{line}").unwrap_or_else(|e| die(&format!("send: {e}")));
-    let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
+/// Sends one request line and reads one reply line. A connection the server
+/// closes before replying is an error, not an empty reply: `read_line`
+/// reports it as a successful read of 0 bytes.
+fn send_line(stream: &mut TcpStream, line: &str) -> Result<String, String> {
+    writeln!(stream, "{line}").map_err(|e| format!("send: {e}"))?;
+    let clone = stream
+        .try_clone()
+        .map_err(|e| format!("clone stream: {e}"))?;
     let mut reply = String::new();
-    reader
-        .read_line(&mut reply)
-        .unwrap_or_else(|e| die(&format!("receive: {e}")));
-    reply.trim_end().to_string()
+    match BufReader::new(clone).read_line(&mut reply) {
+        Ok(0) => Err("receive: the server closed the connection before replying".into()),
+        Ok(_) => Ok(reply.trim_end().to_string()),
+        Err(e) => Err(format!("receive: {e}")),
+    }
+}
+
+/// [`send_line`] to the smoke scenario's own server, which must reply.
+fn ask(stream: &mut TcpStream, line: &str) -> String {
+    send_line(stream, line).unwrap_or_else(|e| die(&e))
 }
 
 fn check_source(reply: &str, expected: &str) -> bool {
@@ -321,18 +332,29 @@ fn client(args: &[String]) {
                 })
             })
             .collect();
-        let mut panicked = 0usize;
+        let mut failed = 0usize;
         for worker in workers {
             match worker.join() {
-                Ok(reply) => handle_reply(reply),
-                Err(_) => panicked += 1,
+                Ok(Ok(reply)) => handle_reply(reply),
+                Ok(Err(e)) => {
+                    eprintln!("plan_service: {e}");
+                    failed += 1;
+                }
+                Err(_) => failed += 1,
             }
         }
-        failures += panicked;
+        failures += failed;
     } else {
         let mut stream = connect_with_retry(&addr, attempts);
         for _ in 0..repeat {
-            handle_reply(send_line(&mut stream, &line));
+            match send_line(&mut stream, &line) {
+                Ok(reply) => handle_reply(reply),
+                Err(e) => {
+                    eprintln!("plan_service: {e}");
+                    failures += 1;
+                    break;
+                }
+            }
         }
     }
     if failures > 0 {
@@ -372,25 +394,46 @@ fn smoke(args: &[String]) {
     let plan_b = r#"{"op":"plan","tenant":"smoke","system":"a100","nodes":2,"axes":[8,4],"reduction":[0],"bytes_per_device":1e9,"repeats":2}"#;
     let plan_c = r#"{"op":"plan","tenant":"other","system":"a100","nodes":2,"axes":[16,2],"reduction":[0],"bytes_per_device":1e9,"repeats":2}"#;
 
+    // A server that reads the request and drops the connection without
+    // replying (as a panicking connection thread does) fails the request;
+    // the client must not read the closed connection as an empty reply.
+    let closing = TcpListener::bind("127.0.0.1:0").unwrap_or_else(|e| die(&format!("bind: {e}")));
+    let closing_addr = closing
+        .local_addr()
+        .expect("bound listener has an address")
+        .to_string();
+    let closer = std::thread::spawn(move || {
+        if let Ok((stream, _)) = closing.accept() {
+            let _ = BufReader::new(stream).read_line(&mut String::new());
+        }
+    });
+    let mut stream = connect_with_retry(&closing_addr, 10);
+    let dropped = send_line(&mut stream, r#"{"op":"ping"}"#);
+    closer.join().expect("closing listener panicked");
+    checks.push((
+        "a connection closed before the reply is an error",
+        dropped.is_err_and(|e| e.contains("closed the connection")),
+    ));
+
     let server = spawn_smoke_server(&store, threads);
     let addr = server.addr.to_string();
     {
         let mut stream = connect_with_retry(&addr, 50);
-        let pong = send_line(&mut stream, r#"{"op":"ping"}"#);
+        let pong = ask(&mut stream, r#"{"op":"ping"}"#);
         checks.push(("ping answers", pong.contains("\"pong\":true")));
 
-        let mistyped = send_line(&mut stream, &plan_a.replace("1e9", "\"1e9\""));
+        let mistyped = ask(&mut stream, &plan_a.replace("1e9", "\"1e9\""));
         checks.push((
             "mistyped field is a protocol error",
             mistyped.contains("\"ok\":false") && mistyped.contains("\"kind\":\"protocol\""),
         ));
 
-        let cold = send_line(&mut stream, plan_a);
+        let cold = ask(&mut stream, plan_a);
         checks.push((
             "first request synthesizes",
             check_source(&cold, "synthesized"),
         ));
-        let warm = send_line(&mut stream, plan_a);
+        let warm = ask(&mut stream, plan_a);
         checks.push(("repeat request hits warm", check_source(&warm, "warm")));
         checks.push((
             "warm repeat returns identical entries",
@@ -404,7 +447,7 @@ fn smoke(args: &[String]) {
                 let addr = addr.clone();
                 std::thread::spawn(move || {
                     let mut stream = connect_with_retry(&addr, 10);
-                    send_line(&mut stream, plan_b)
+                    ask(&mut stream, plan_b)
                 })
             })
             .collect();
@@ -430,7 +473,7 @@ fn smoke(args: &[String]) {
             after - before == 1,
         ));
 
-        let distinct = send_line(&mut stream, plan_c);
+        let distinct = ask(&mut stream, plan_c);
         checks.push((
             "distinct request synthesizes",
             check_source(&distinct, "synthesized"),
@@ -441,7 +484,7 @@ fn smoke(args: &[String]) {
             stats_field(&mut stream, "snapshot_saves") >= 1,
         ));
 
-        let bye = send_line(&mut stream, r#"{"op":"shutdown"}"#);
+        let bye = ask(&mut stream, r#"{"op":"shutdown"}"#);
         checks.push((
             "shutdown acknowledged",
             bye.contains("\"shutting_down\":true"),
@@ -454,7 +497,7 @@ fn smoke(args: &[String]) {
     let addr = server.addr.to_string();
     {
         let mut stream = connect_with_retry(&addr, 50);
-        let disk = send_line(&mut stream, plan_a);
+        let disk = ask(&mut stream, plan_a);
         checks.push((
             "restart serves from the disk store",
             check_source(&disk, "disk"),
@@ -462,7 +505,7 @@ fn smoke(args: &[String]) {
         // Same table key, fresh plan fingerprint: the synthesis itself must
         // warm-start from the restarted server's table-store snapshot.
         let plan_a_resized = plan_a.replace("1e9", "2e9");
-        let warmed = send_line(&mut stream, &plan_a_resized);
+        let warmed = ask(&mut stream, &plan_a_resized);
         checks.push((
             "changed bytes re-synthesizes",
             check_source(&warmed, "synthesized"),
@@ -472,7 +515,7 @@ fn smoke(args: &[String]) {
             stats_field(&mut stream, "snapshot_loads") >= 1
                 && stats_field(&mut stream, "warm_states") > 0,
         ));
-        let _ = send_line(&mut stream, r#"{"op":"shutdown"}"#);
+        let _ = ask(&mut stream, r#"{"op":"shutdown"}"#);
     }
     server.thread.join().expect("server thread panicked");
     let _ = std::fs::remove_dir_all(&store);
@@ -492,7 +535,7 @@ fn smoke(args: &[String]) {
 }
 
 fn stats_field(stream: &mut TcpStream, key: &str) -> i64 {
-    let reply = send_line(stream, r#"{"op":"stats"}"#);
+    let reply = ask(stream, r#"{"op":"stats"}"#);
     Json::parse(&reply)
         .ok()
         .and_then(|json| json.get(key).and_then(Json::as_f64))

@@ -15,7 +15,9 @@
 //!    physical device ranks plus the per-device data fraction each step moves,
 //!    which is what the cost model and the execution simulator consume.
 //!    [`Synthesizer::for_each_lowered`] streams programs with their steps
-//!    already lowered, each distinct search-DAG edge step exactly once.
+//!    as ids into a table of distinct step layouts, lowering each distinct
+//!    search-DAG edge step exactly once, and returns the table when the
+//!    stream ends.
 //!
 //! # Example
 //!

@@ -22,9 +22,14 @@ pub(crate) type Candidate = (Instruction, Vec<Vec<usize>>);
 /// and the pre-state's participating device states (a group's input fraction
 /// is the maximum of its members' data fractions), so a step is lowered once
 /// per distinct `(candidate, participant state ids)` key, however many edges
-/// and programs run through it. Interned ids are canonical, so the partition
-/// of edges into steps — and the id order, which follows the serial
-/// emission — is the same for any thread count or shared-table state.
+/// and programs run through it. Several keys can lower to one layout (the
+/// same collective over the same groups and fractions), so a key whose step
+/// matches an earlier layout ([`LoweredStep::same_layout`]) reuses that id:
+/// the table holds each layout once, and whatever a caller keeps per id (a
+/// predicted time, say) is computed once per layout. Interned ids are
+/// canonical, so the partition of edges into steps — and the id order, which
+/// follows the serial emission — is the same for any thread count or
+/// shared-table state.
 pub(crate) struct StepTable<'a> {
     ctx: &'a SynthesisContext,
     candidates: &'a [Candidate],
@@ -34,6 +39,8 @@ pub(crate) struct StepTable<'a> {
     fractions: &'a FxHashMap<u32, f64>,
     /// `(candidate, participant ids)` key → step id.
     index: FxHashMap<Box<[u32]>, usize>,
+    /// [`LoweredStep::layout_hash`] → the ids of the steps with that hash.
+    layouts: FxHashMap<u64, Vec<usize>>,
     steps: Vec<LoweredStep>,
     /// Scratch key, reused by every lookup.
     key: Vec<u32>,
@@ -53,6 +60,7 @@ impl<'a> StepTable<'a> {
             tuples,
             fractions,
             index: FxHashMap::default(),
+            layouts: FxHashMap::default(),
             steps: Vec::new(),
             key: Vec::new(),
             lower_duration: Duration::ZERO,
@@ -60,7 +68,8 @@ impl<'a> StepTable<'a> {
     }
 
     /// The id of the step the edge `candidate` out of synthesis state
-    /// `state` lowers to, lowering it the first time its key is seen.
+    /// `state` lowers to, lowering it the first time its key is seen. A new
+    /// key whose step has the layout of an earlier one gets that step's id.
     pub(crate) fn resolve(
         &mut self,
         state: usize,
@@ -81,8 +90,16 @@ impl<'a> StepTable<'a> {
             .ctx
             .lower_step(instr, &mut |idx| fractions[&tuple[idx]])?;
         self.lower_duration += started.elapsed();
-        let id = self.steps.len();
-        self.steps.push(step);
+        let bucket = self.layouts.entry(step.layout_hash()).or_default();
+        let id = match bucket.iter().find(|&&id| self.steps[id].same_layout(&step)) {
+            Some(&id) => id,
+            None => {
+                let id = self.steps.len();
+                bucket.push(id);
+                self.steps.push(step);
+                id
+            }
+        };
         self.index.insert(self.key.as_slice().into(), id);
         Ok(id)
     }
@@ -92,10 +109,12 @@ impl<'a> StepTable<'a> {
         &self.steps
     }
 
-    /// Records the table's size and lowering time in `stats`.
-    pub(crate) fn finish(self, stats: &mut SynthesisStats) {
+    /// Records the table's size and lowering time in `stats` and hands back
+    /// the steps, by id.
+    pub(crate) fn finish(self, stats: &mut SynthesisStats) -> Vec<LoweredStep> {
         stats.lowered_steps = self.steps.len();
         stats.lower_duration = self.lower_duration;
+        self.steps
     }
 }
 
@@ -108,9 +127,10 @@ pub struct EmittedProgram<'a> {
     pub program: &'a Program,
     /// Per instruction, in order: the id of its lowered step in `table`.
     pub step_ids: &'a [usize],
-    /// Every distinct step the search has lowered so far, indexed by step
-    /// id. Ids are dense and assigned in first-use order, so a sink can keep
-    /// per-step data (a predicted time, say) in a vector indexed by id.
+    /// Every distinct step layout the search has lowered so far, indexed by
+    /// step id. Ids are dense and assigned in first-use order, so a sink can
+    /// keep per-step data (a predicted time, say) in a vector indexed by id.
+    /// The stream hands back the finished table when it ends.
     pub table: &'a [LoweredStep],
     /// Number of physical devices of the system the steps target.
     pub num_devices: usize,
@@ -118,14 +138,15 @@ pub struct EmittedProgram<'a> {
 
 impl<'a> EmittedProgram<'a> {
     /// The program's lowered steps, in program order.
-    pub fn steps(&self) -> impl Iterator<Item = &'a LoweredStep> + 'a {
+    pub fn steps(&self) -> impl Iterator<Item = &'a LoweredStep> + Clone + 'a {
         let table = self.table;
         self.step_ids.iter().map(move |&id| &table[id])
     }
 
     /// Clones the steps into a [`LoweredProgram`], equal to what
     /// [`Synthesizer::lower`](crate::Synthesizer::lower) returns for the
-    /// program.
+    /// program. For tests and oracles: the pipeline keeps step ids into the
+    /// finished table instead.
     pub fn to_lowered(&self) -> LoweredProgram {
         LoweredProgram {
             steps: self.steps().cloned().collect(),

@@ -81,11 +81,13 @@ pub struct SynthesisStats {
     pub build_duration: Duration,
     /// Wall-clock time of the emission (or counting) phase.
     pub emit_duration: Duration,
-    /// Distinct lowered steps in the search's step table: one per distinct
+    /// Distinct step layouts in the search's step table. Each distinct
     /// `(candidate, participant device states)` edge key the lowered
-    /// emission or the best-cost DP reached. Zero when nothing is lowered.
+    /// emission or the best-cost DP reached is lowered once, and keys that
+    /// lower to the same layout share one entry. Zero when nothing is
+    /// lowered.
     pub lowered_steps: usize,
-    /// Wall-clock time spent lowering those steps (part of
+    /// Wall-clock time spent lowering the edge keys (part of
     /// `emit_duration`). Callers that report search time alone subtract it.
     pub lower_duration: Duration,
     /// Wall-clock time of the search.
@@ -537,20 +539,25 @@ impl Synthesizer {
             &mut |program: &Program, _: &[usize], _: &[LoweredStep]| sink.accept(program),
         )
         .expect("emission without lowering cannot fail")
+        .0
     }
 
     /// [`Synthesizer::for_each_program`] with every program's steps lowered:
     /// the sink receives each program together with the ids of its lowered
-    /// steps in the search's step table.
+    /// steps in the search's step table, and the call returns the finished
+    /// table with the statistics.
     ///
     /// The emission resolves each DAG edge it descends to a step, keyed by
     /// the candidate and the pre-state's participating device states — the
     /// key [`Synthesizer::best_cost_program`] costs edges by — and lowers
     /// each distinct key once, so lowering scales with the search DAG rather
-    /// than with the program count. Programs, order and statistics equal
-    /// [`Synthesizer::for_each_program`]'s, and every program's steps equal
-    /// [`Synthesizer::lower`]'s bit for bit. The step table lives for this
-    /// call; `lowered_steps` and `lower_duration` report its size and cost.
+    /// than with the program count. Keys that lower to the same layout share
+    /// one id, so the table holds each distinct layout once. Programs, order
+    /// and statistics equal [`Synthesizer::for_each_program`]'s, and every
+    /// program's steps equal [`Synthesizer::lower`]'s bit for bit. The ids a
+    /// sink keeps stay valid in the returned table, which is frozen for
+    /// sharing; `lowered_steps` and `lower_duration` report its size and
+    /// cost.
     ///
     /// # Errors
     ///
@@ -559,12 +566,12 @@ impl Synthesizer {
         &self,
         max_size: usize,
         mut sink: F,
-    ) -> Result<SynthesisStats, SynthesisError>
+    ) -> Result<(SynthesisStats, Arc<[LoweredStep]>), SynthesisError>
     where
         F: FnMut(&EmittedProgram<'_>) -> SinkControl,
     {
         let num_devices = self.ctx.matrix().num_devices();
-        self.emit(
+        let (stats, table) = self.emit(
             max_size,
             true,
             &mut |program: &Program, step_ids: &[usize], table: &[LoweredStep]| {
@@ -575,19 +582,21 @@ impl Synthesizer {
                     num_devices,
                 })
             },
-        )
+        )?;
+        Ok((stats, table.into()))
     }
 
     /// The memoized emission behind [`Synthesizer::for_each_program`]
     /// (`lower = false`) and [`Synthesizer::for_each_lowered`]: one
     /// depth-first walk that, when lowering, resolves each edge's step as it
-    /// descends.
+    /// descends. Returns the statistics and the step table (empty unless
+    /// lowering).
     fn emit<F>(
         &self,
         max_size: usize,
         lower: bool,
         sink: &mut F,
-    ) -> Result<SynthesisStats, SynthesisError>
+    ) -> Result<(SynthesisStats, Vec<LoweredStep>), SynthesisError>
     where
         F: FnMut(&Program, &[usize], &[LoweredStep]) -> SinkControl,
     {
@@ -646,12 +655,10 @@ impl Synthesizer {
         stats.suffix_memo_hits = memo.hits;
         stats.suffix_memo_misses = memo.misses;
         self.publish_memo(memo, built.graph.len(), max_size);
-        if let Some(table) = table {
-            table.finish(&mut stats);
-        }
+        let steps = table.map_or_else(Vec::new, |table| table.finish(&mut stats));
         stats.emit_duration = emit_start.elapsed();
         stats.duration = start.elapsed();
-        outcome.map(|()| stats)
+        outcome.map(|()| (stats, steps))
     }
 
     /// The pre-interning reference search behind
@@ -1711,8 +1718,9 @@ mod tests {
             let s = Synthesizer::new(figure2d(), vec![1], kind).unwrap();
             let plain = s.synthesize(max_size);
             let mut programs: Vec<Program> = Vec::new();
+            let mut step_ids: Vec<Vec<usize>> = Vec::new();
             let mut table_len = 0;
-            let stats = s
+            let (stats, table) = s
                 .for_each_lowered(max_size, |emitted: &EmittedProgram<'_>| {
                     let expected = s.lower(emitted.program).unwrap();
                     let lowered = emitted.to_lowered();
@@ -1723,6 +1731,7 @@ mod tests {
                     }
                     table_len = emitted.table.len();
                     programs.push(emitted.program.clone());
+                    step_ids.push(emitted.step_ids.to_vec());
                     SinkControl::Continue
                 })
                 .unwrap();
@@ -1730,7 +1739,23 @@ mod tests {
             assert_eq!(stats.programs_emitted, plain.stats.programs_emitted);
             assert_eq!(stats.states_explored, plain.stats.states_explored);
             assert_eq!(stats.lowered_steps, table_len);
+            assert_eq!(table.len(), table_len);
             assert!(stats.lower_duration <= stats.emit_duration);
+            // The ids a sink kept still name the program's steps in the
+            // returned table.
+            for (program, ids) in programs.iter().zip(&step_ids) {
+                let expected = s.lower(program).unwrap();
+                assert_eq!(ids.len(), expected.steps.len());
+                for (&id, want) in ids.iter().zip(&expected.steps) {
+                    assert!(table[id].same_layout(want), "{kind:?}: {program}");
+                }
+            }
+            // The table holds each layout once.
+            for (i, a) in table.iter().enumerate() {
+                for b in &table[i + 1..] {
+                    assert!(!a.same_layout(b), "{kind:?}: duplicate layout {a:?}");
+                }
+            }
             // One lowering per distinct edge step, not per program step.
             let program_steps: usize = programs.iter().map(Program::len).sum();
             assert!(stats.lowered_steps <= program_steps, "{kind:?}");
@@ -1750,7 +1775,7 @@ mod tests {
     fn lowered_stream_stops_when_the_sink_stops() {
         let s = synth_d();
         let mut taken: Vec<Program> = Vec::new();
-        let stats = s
+        let (stats, _) = s
             .for_each_lowered(5, |emitted: &EmittedProgram<'_>| {
                 taken.push(emitted.program.clone());
                 if taken.len() == 3 {

@@ -227,7 +227,7 @@ fn assert_matches_oracle(
         prop_assert_eq!(got.programs.len(), want.programs.len());
         for (g, w) in got.programs.iter().zip(&want.programs) {
             prop_assert_eq!(&g.program, &w.program);
-            prop_assert!(same_lowered(&g.lowered, &w.lowered), "lowering differs");
+            prop_assert!(same_lowered(&g.lowered(), &w.lowered), "lowering differs");
             prop_assert_eq!(g.predicted_seconds.to_bits(), w.predicted.to_bits());
             prop_assert_eq!(g.measured_seconds.to_bits(), w.measured.to_bits());
         }
