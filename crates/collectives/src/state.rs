@@ -123,10 +123,11 @@ impl State {
     /// recomputed, so a round-tripped state is bit-identical to the original
     /// even if the input words carried junk slack.
     ///
-    /// Returns `None` when `words` is not exactly `k * k.div_ceil(64)` long.
+    /// Returns `None` when `words` is not exactly `k * k.div_ceil(64)` long,
+    /// or when that length overflows `usize` (a corrupt dimension).
     pub fn from_raw_words(k: usize, words: Vec<u64>) -> Option<State> {
         let words_per_row = k.div_ceil(64);
-        if words.len() != k * words_per_row {
+        if words.len() != k.checked_mul(words_per_row)? {
             return None;
         }
         let mut state = State {
@@ -485,6 +486,14 @@ mod tests {
         assert_eq!(scrubbed, original);
         // Wrong buffer length is rejected.
         assert!(State::from_raw_words(3, vec![0; 2]).is_none());
+    }
+
+    #[test]
+    fn a_dimension_whose_buffer_length_overflows_is_rejected() {
+        // k = 2^35 needs k * 2^29 words: 2^64, one past usize::MAX, which
+        // an unchecked product wraps to 0, the empty buffer's length.
+        assert!(State::from_raw_words(1 << 35, Vec::new()).is_none());
+        assert!(State::from_raw_words(usize::MAX, Vec::new()).is_none());
     }
 
     #[test]

@@ -173,15 +173,6 @@ impl P2Builder {
         self
     }
 
-    /// Points the session at a cross-run table-snapshot directory: the sweep
-    /// warm-starts from the snapshot addressed by
-    /// [`P2Config::table_key`](crate::P2Config::table_key) and writes its
-    /// final tables back (see [`P2Config::table_store_dir`]).
-    pub fn table_store_dir(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
-        self.config.table_store_dir = Some(dir.into());
-        self
-    }
-
     /// Sets how [`P2::run`] drives the pipeline: [`RunMode::Measure`] (the
     /// default), [`RunMode::Shortlist`] or [`RunMode::PredictOnly`].
     pub fn mode(mut self, mode: RunMode) -> Self {
@@ -292,7 +283,6 @@ mod tests {
             .make_cost_model(CostModelKind::LogGp)
             .unwrap();
         let tables = Arc::new(p2_collectives::SharedTables::new());
-        let bank = Arc::new(p2_synthesis::MemoBank::new());
         let mut config = P2Config::new(presets::v100_system(2), vec![4, 4], vec![1])
             .with_algo(NcclAlgo::Tree)
             .with_bytes_per_device(2.0e8)
@@ -306,9 +296,8 @@ mod tests {
             .with_prune_slack(0.25)
             .with_cost_model(Arc::clone(&model))
             .with_cost_cache(false)
-            .with_shared_intern(false)
-            .with_table_store_dir("snapshots");
-        config.shared_tables = Some((Arc::clone(&tables), Arc::clone(&bank)));
+            .with_shared_intern(false);
+        config.shared_tables = Some(Arc::clone(&tables));
         let rebuilt = P2Builder::from_config(config.clone()).build().unwrap();
         let r = rebuilt.config();
         assert_eq!(r.system.name(), config.system.name());
@@ -327,10 +316,8 @@ mod tests {
         assert!(Arc::ptr_eq(r.cost_model.as_ref().unwrap(), &model));
         assert_eq!(r.cost_cache, config.cost_cache);
         assert_eq!(r.shared_intern, config.shared_intern);
-        let (r_tables, r_bank) = r.shared_tables.as_ref().expect("external pair kept");
+        let r_tables = r.shared_tables.as_ref().expect("external tables kept");
         assert!(Arc::ptr_eq(r_tables, &tables));
-        assert!(Arc::ptr_eq(r_bank, &bank));
-        assert_eq!(r.table_store_dir, config.table_store_dir);
         assert_eq!(rebuilt.mode(), RunMode::Measure);
     }
 

@@ -26,9 +26,9 @@
 //! * **`cost_cache`** — the pipeline predicts each distinct step once
 //!   whatever its value, and the step-cost cache keys on the exact step, so
 //!   neither path changes a prediction.
-//! * **`shared_intern` / `shared_tables` / `table_store_dir`** — the
-//!   search tables are a cache: sharing, borrowing or warm-starting them is
-//!   result-invisible by the determinism pins.
+//! * **`shared_intern` / `shared_tables`** — the search tables are a
+//!   cache: sharing, borrowing or warm-starting them is result-invisible by
+//!   the determinism pins.
 //!
 //! Axis *order* is *not* normalized away: `parallelism_axes = [8, 4]` and
 //! `[4, 8]` are different experiments, and `reduction_axes` order feeds the
@@ -58,12 +58,12 @@ pub const CANONICAL_VERSION: &str = "p2-canonical-v1";
 
 /// Version tag leading every canonical *tables* form (and stored inside
 /// every table-store snapshot). Bump it whenever
-/// [`canonical_tables_form`] changes, whenever the snapshot JSON layout
+/// [`canonical_tables_form`] changes, whenever the snapshot record layout
 /// changes, or whenever anything the persisted tables encode changes
 /// meaning (the `Collective` tag order in apply keys, the `State` word
-/// layout, the memo-key format) — a bump re-addresses every snapshot, so
-/// stale tables are simply never loaded instead of being misread.
-pub const CANONICAL_TABLES_VERSION: &str = "p2-tables-v1";
+/// layout) — a bump re-addresses every snapshot, so stale tables are simply
+/// never loaded instead of being misread.
+pub const CANONICAL_TABLES_VERSION: &str = "p2-tables-v2";
 
 fn push_f64(out: &mut String, key: &str, value: f64) {
     let _ = writeln!(out, "{key}=0x{:016x}", value.to_bits());
@@ -117,8 +117,8 @@ fn hierarchy_token(kind: HierarchyKind) -> &'static str {
 }
 
 /// Renders the *tables*-relevant subset of an experiment: everything the
-/// persisted search tables (interned device states, collective apply cache,
-/// suffix memos) are a function of, and nothing more. Compared to
+/// persisted search tables (interned device states and the collective apply
+/// cache) are a function of, and nothing more. Compared to
 /// [`P2Config::canonical_form`] this drops link bandwidth/latency, buffer
 /// size, noise, seed, repeats, retention, the cost model, the parallelism
 /// axes and the run mode — none of them reach the tables — so one snapshot

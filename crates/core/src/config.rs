@@ -1,10 +1,9 @@
-use std::path::PathBuf;
 use std::sync::Arc;
 
 use p2_collectives::SharedTables;
 use p2_cost::{AlphaBetaModel, CalibratedModel, CostModel, CostModelKind, LogGpModel, NcclAlgo};
 use p2_exec::{ExecConfig, Executor};
-use p2_synthesis::{HierarchyKind, MemoBank};
+use p2_synthesis::HierarchyKind;
 use p2_topology::SystemTopology;
 
 use crate::error::P2Error;
@@ -98,25 +97,15 @@ pub struct P2Config {
     /// deterministic statistic are bit-identical for any worker-thread count,
     /// with shared or private tables; defaults to `true`.
     pub shared_intern: bool,
-    /// Externally owned search tables: the interning tables and the
-    /// suffix-memo bank of one table key, shared by every session holding
-    /// the same pair (the planner keeps one pair per
-    /// [`P2Config::table_key`]). `None` — the default — lets the sweep build
-    /// its own tables when `shared_intern` is set. When `Some`, the session
-    /// uses the pair regardless of `shared_intern`, never persists it, and
-    /// reports `shared_unique_device_states` as `None` (the final size
-    /// belongs to the owner). Result-invisible. Set via
+    /// Externally owned search tables of one table key, shared by every
+    /// session holding them (the planner keeps one per
+    /// [`P2Config::table_key`] and alone persists them). `None` — the
+    /// default — lets the sweep build its own tables when `shared_intern` is
+    /// set. When `Some`, the session uses these tables regardless of
+    /// `shared_intern` and reports `shared_unique_device_states` as `None`
+    /// (the final size belongs to the owner). Result-invisible. Set via
     /// [`P2::with_shared_tables`](crate::P2::with_shared_tables).
-    pub shared_tables: Option<(Arc<SharedTables>, Arc<MemoBank>)>,
-    /// Directory of cross-run table snapshots (see
-    /// [`TableStore`](crate::TableStore)). When set — and the session does
-    /// not borrow [`P2Config::shared_tables`] — the sweep loads the
-    /// snapshot addressed by [`P2Config::table_key`] before spawning (or
-    /// starts empty on a miss) and writes its final tables back after
-    /// collecting. Warm starts are result-invisible; only
-    /// [`ExperimentResult::table_store`](crate::ExperimentResult::table_store)
-    /// observes them.
-    pub table_store_dir: Option<PathBuf>,
+    pub shared_tables: Option<Arc<SharedTables>>,
 }
 
 impl P2Config {
@@ -162,7 +151,6 @@ impl P2Config {
             cost_cache: true,
             shared_intern: true,
             shared_tables: None,
-            table_store_dir: None,
         }
     }
 
@@ -286,13 +274,6 @@ impl P2Config {
     /// [`P2Config::shared_intern`]).
     pub fn with_shared_intern(mut self, shared_intern: bool) -> Self {
         self.shared_intern = shared_intern;
-        self
-    }
-
-    /// Points the session at a cross-run table-snapshot directory (see
-    /// [`P2Config::table_store_dir`]).
-    pub fn with_table_store_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.table_store_dir = Some(dir.into());
         self
     }
 

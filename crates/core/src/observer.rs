@@ -175,7 +175,6 @@ mod tests {
             unique_device_states: 0,
             suffix_memo_hits: 0,
             suffix_memo_misses: 0,
-            suffix_memo_preloaded: 0,
             shared_states_reused: 0,
             allreduce_predicted: 1.0,
             allreduce_measured: 1.0,

@@ -11,7 +11,7 @@ use p2_placement::{
     enumerate_matrices, for_each_matrix, MatrixControl, MatrixSink, ParallelismMatrix,
 };
 use p2_synthesis::{
-    baseline_allreduce, EmittedProgram, LoweredStep, MemoBank, Program, SinkControl, Synthesizer,
+    baseline_allreduce, EmittedProgram, LoweredStep, Program, SinkControl, Synthesizer,
 };
 
 use crate::builder::P2Builder;
@@ -19,7 +19,6 @@ use crate::config::P2Config;
 use crate::error::P2Error;
 use crate::observer::RunObserver;
 use crate::result::{ExperimentResult, PlacementEvaluation, ProgramEvaluation};
-use crate::table_store::{TableStore, TableStoreStats};
 
 /// How [`P2::run`] drives the synthesized programs through prediction and
 /// measurement.
@@ -284,29 +283,14 @@ impl P2 {
         // One set of search tables for the whole sweep: every placement
         // reduces over the same device-state universe, so workers reuse each
         // other's interned states and memoized collective applications. The
-        // session either borrows a pair, which its owner persists, or owns
-        // fresh tables (when `shared_intern` is set) plus, with a table
-        // store, a fresh memo bank that a snapshot warms before any job is
-        // spawned. Plain sweeps skip the bank: every placement of one sweep
-        // solves a distinct context, so there is nothing to share or keep.
-        let (shared, memo, store) = match &self.config.shared_tables {
-            Some((tables, bank)) => (Some(Arc::clone(tables)), Some(Arc::clone(bank)), None),
-            None => {
-                let tables = self
-                    .config
-                    .shared_intern
-                    .then(|| Arc::new(SharedTables::new()));
-                match &self.config.table_store_dir {
-                    Some(dir) => {
-                        let bank = Arc::new(MemoBank::new());
-                        let store = TableStore::new(dir);
-                        let key = self.config.table_key();
-                        let stats = store.warm(key, tables.as_deref(), &bank);
-                        (tables, Some(bank), Some((store, key, stats)))
-                    }
-                    None => (tables, None, None),
-                }
-            }
+        // session either borrows tables, which their owner persists, or owns
+        // fresh ones (when `shared_intern` is set).
+        let shared = match &self.config.shared_tables {
+            Some(tables) => Some(Arc::clone(tables)),
+            None => self
+                .config
+                .shared_intern
+                .then(|| Arc::new(SharedTables::new())),
         };
         let mut handles = Vec::new();
         self.for_each_placement(&mut |matrix: &ParallelismMatrix| {
@@ -314,14 +298,12 @@ impl P2 {
             let matrix = matrix.clone();
             let model = Arc::clone(&model);
             let shared = shared.clone();
-            let memo = memo.clone();
             handles.push(scheduler.spawn(move || {
                 self.evaluate_placement(
                     index,
                     &matrix,
                     &model,
                     shared.as_ref(),
-                    memo.as_ref(),
                     measure_programs,
                     observer,
                 )
@@ -332,8 +314,6 @@ impl P2 {
             session: self,
             handles,
             shared,
-            memo,
-            store,
         })
     }
 
@@ -459,14 +439,12 @@ impl P2 {
     /// prediction folds its step times from `+0.0` in program order, the
     /// model's additivity contract, so it is bit-identical to
     /// [`CostModel::program_time`] of the lowered program.
-    #[allow(clippy::too_many_arguments)]
     fn evaluate_placement(
         &self,
         index: usize,
         matrix: &ParallelismMatrix,
         model: &Arc<dyn CostModel>,
         shared: Option<&Arc<SharedTables>>,
-        memo: Option<&Arc<MemoBank>>,
         measure_programs: bool,
         observer: &dyn RunObserver,
     ) -> Result<PlacementEvaluation, P2Error> {
@@ -485,9 +463,6 @@ impl P2 {
         .with_build_threads(self.config.threads);
         if let Some(tables) = shared {
             synthesizer = synthesizer.with_shared_tables(Arc::clone(tables));
-        }
-        if let Some(bank) = memo {
-            synthesizer = synthesizer.with_memo_bank(Arc::clone(bank));
         }
         let baseline = baseline_allreduce(matrix, &self.config.reduction_axes)?;
         let allreduce_predicted = model.program_time(&baseline);
@@ -614,7 +589,6 @@ impl P2 {
             unique_device_states: stats.unique_device_states,
             suffix_memo_hits: stats.suffix_memo_hits,
             suffix_memo_misses: stats.suffix_memo_misses,
-            suffix_memo_preloaded: stats.suffix_memo_preloaded,
             shared_states_reused: stats.shared_states_reused,
             allreduce_predicted,
             allreduce_measured,
@@ -624,20 +598,19 @@ impl P2 {
         Ok(evaluation)
     }
 
-    /// Returns the session borrowing caller-owned search tables — the
-    /// interning tables and the suffix-memo bank of one table key —
-    /// extending state interning, collective-apply memoization and
-    /// completion-count memos across every session holding the same pair.
+    /// Returns the session borrowing caller-owned search tables, extending
+    /// state interning and collective-apply memoization across every session
+    /// holding the same tables. Each placement's search computes its own
+    /// suffix memo.
     ///
     /// Sharing is result-invisible — programs, predictions, measurements and
     /// the deterministic per-placement statistics are bit-identical — with one
     /// reporting exception: a session running on borrowed tables reports
     /// [`ExperimentResult::shared_unique_device_states`] as `None`, because
-    /// the tables' final size belongs to their owner. The session never
-    /// persists borrowed tables, even with a
-    /// [`P2Config::table_store_dir`].
-    pub fn with_shared_tables(mut self, tables: Arc<SharedTables>, bank: Arc<MemoBank>) -> Self {
-        self.config.shared_tables = Some((tables, bank));
+    /// the tables' final size belongs to their owner, who alone may persist
+    /// them (see [`TableStore`](crate::TableStore)).
+    pub fn with_shared_tables(mut self, tables: Arc<SharedTables>) -> Self {
+        self.config.shared_tables = Some(tables);
         self
     }
 }
@@ -668,8 +641,6 @@ pub struct PendingSweep<'env> {
     session: &'env P2,
     handles: Vec<JobHandle<Result<PlacementEvaluation, P2Error>>>,
     shared: Option<Arc<SharedTables>>,
-    memo: Option<Arc<MemoBank>>,
-    store: Option<(TableStore, p2_hash::Fingerprint, TableStoreStats)>,
 }
 
 impl<'env> PendingSweep<'env> {
@@ -695,8 +666,6 @@ impl<'env> PendingSweep<'env> {
             session,
             handles,
             shared,
-            memo,
-            store,
         } = self;
         let mut placements = Vec::with_capacity(handles.len());
         let mut total_synthesis = std::time::Duration::ZERO;
@@ -715,15 +684,7 @@ impl<'env> PendingSweep<'env> {
                 Some(_) => None,
                 None => shared.as_ref().map(|tables| tables.num_states()),
             },
-            table_store: None,
         };
-        // Snapshot-after-run: the sweep has drained, so the tables and bank
-        // hold their final (deterministic) content.
-        if let Some((store, key, mut stats)) = store {
-            let bank = memo.as_ref().expect("store implies a bank");
-            store.persist(key, shared.as_deref(), bank, &mut stats);
-            result.table_store = Some(stats);
-        }
         if let RunMode::Shortlist(n) = session.mode {
             session.measure_shortlist_on(scheduler, &mut result, n)?;
         }
@@ -978,38 +939,6 @@ mod tests {
         let cached = small_builder().keep_top(3).cost_cache(true).run().unwrap();
         let uncached = small_builder().keep_top(3).cost_cache(false).run().unwrap();
         assert_same_numbers(&cached, &uncached);
-    }
-
-    #[test]
-    fn table_store_warm_start_is_result_invisible() {
-        let dir = std::env::temp_dir().join(format!(
-            "p2-pipeline-store-test-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let plain = small_builder().run().unwrap();
-        assert!(plain.table_store.is_none());
-        // Cold run: nothing to load, snapshot written.
-        let cold = small_builder().table_store_dir(&dir).run().unwrap();
-        let cold_stats = cold.table_store.as_ref().unwrap();
-        assert!(!cold_stats.loaded);
-        assert!(cold_stats.saved);
-        assert!(cold_stats.saved_states > 0);
-        assert!(cold_stats.saved_memo_slabs > 0);
-        assert_eq!(cold_stats.seeded_searches, 0);
-        // Warm run: snapshot adopted, every placement's search seeded.
-        let warm = small_builder().table_store_dir(&dir).run().unwrap();
-        let warm_stats = warm.table_store.as_ref().unwrap();
-        assert!(warm_stats.loaded);
-        assert_eq!(warm_stats.table_key, cold_stats.table_key);
-        assert_eq!(warm_stats.warm_states, cold_stats.saved_states);
-        assert!(warm_stats.seeded_searches > 0);
-        assert!(warm.placements.iter().any(|p| p.suffix_memo_preloaded > 0));
-        // Warm-starting changes no result bit.
-        assert_same_numbers(&plain, &cold);
-        assert_same_numbers(&cold, &warm);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -117,8 +117,8 @@ pub struct PlacementEvaluation {
     /// Programs not retained as evaluations: cut early by the cost bound
     /// (never costed in full, never measured) or displaced from the top-K
     /// heap (in eagerly-measuring runs these were measured before eviction).
-    /// Zero when nothing prunes: `keep_top = None` and no observer supplied
-    /// a bound (see [`P2Config::prune_slack`](crate::P2Config::prune_slack)).
+    /// Zero when `keep_top = None`: only a retention bound prunes (see
+    /// [`P2Config::prune_slack`](crate::P2Config::prune_slack)).
     pub programs_pruned: usize,
     /// Programs retained as full [`ProgramEvaluation`]s (`programs.len()`).
     pub programs_retained: usize,
@@ -134,10 +134,6 @@ pub struct PlacementEvaluation {
     pub suffix_memo_hits: usize,
     /// Suffix-memo entries computed for the first time during emission.
     pub suffix_memo_misses: usize,
-    /// Suffix-memo entries this placement's search started with, seeded from
-    /// a shared [`p2_synthesis::MemoBank`] (0 without a bank or on a bank
-    /// miss — every cold run).
-    pub suffix_memo_preloaded: usize,
     /// Device states this placement found already interned in the sweep's
     /// shared tables (0 when the sweep runs with private tables; under a
     /// parallel sweep the value depends on worker interleaving).
@@ -215,12 +211,6 @@ pub struct ExperimentResult {
     /// Deterministic for any worker count: it is the size of the set union of
     /// the per-placement universes.
     pub shared_unique_device_states: Option<usize>,
-    /// Telemetry of the session's cross-run table-store interaction (`None`
-    /// when the session ran without a [`TableStore`](crate::TableStore) of
-    /// its own — including sessions on borrowed
-    /// [`P2Config::shared_tables`](crate::P2Config::shared_tables), whose
-    /// owner persists them).
-    pub table_store: Option<crate::TableStoreStats>,
 }
 
 impl ExperimentResult {
@@ -391,7 +381,6 @@ mod tests {
             unique_device_states: 4,
             suffix_memo_hits: 0,
             suffix_memo_misses: 0,
-            suffix_memo_preloaded: 0,
             shared_states_reused: 0,
             allreduce_predicted: allreduce,
             allreduce_measured: allreduce,
@@ -452,7 +441,6 @@ mod tests {
             placements: vec![placement(10.0, vec![eval(3.0, 5.0)])],
             synthesis_time: Duration::from_millis(2),
             shared_unique_device_states: None,
-            table_store: None,
         };
         // Private interners: the per-placement maximum.
         assert_eq!(exp.peak_unique_device_states(), 4);
@@ -475,7 +463,6 @@ mod tests {
             ],
             synthesis_time: Duration::from_millis(2),
             shared_unique_device_states: None,
-            table_store: None,
         };
         assert_eq!(exp.total_programs(), 3);
         assert_eq!(exp.total_programs_retained(), 3);

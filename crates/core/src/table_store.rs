@@ -1,27 +1,31 @@
 //! Cross-run persistence of the synthesis search tables.
 //!
 //! A sweep's hash-consing tables — the interned device-state universe and
-//! collective apply cache of [`p2_collectives::SharedTables`] plus the
-//! per-context suffix memos of a [`p2_synthesis::MemoBank`] — are a pure
+//! collective apply cache of [`p2_collectives::SharedTables`] — are a pure
 //! function of the machine shape, the collective algorithm, the synthesis
 //! hierarchy and the program-size limit. Nothing about the cost model, buffer
 //! size, noise or run mode reaches them, so one run's tables can warm-start
 //! any later run that shares those inputs. The [`TableStore`] persists them
-//! as versioned JSON snapshots under `<table_key>.json`, where the key is
-//! [`P2Config::table_key`](crate::P2Config::table_key) — a
+//! as versioned, digest-checked JSON snapshots under `<table_key>.json`,
+//! where the key is [`P2Config::table_key`](crate::P2Config::table_key) — a
 //! `p2_hash::stable_digest128` over the tables-subset canonical form
 //! ([`canonical_tables_form`](crate::canonical::canonical_tables_form)) and
-//! deliberately coarser than a plan fingerprint.
+//! deliberately coarser than a plan fingerprint. The planner is the one
+//! owner that persists tables; a session only borrows them.
 //!
 //! Warm-starting is result-invisible: interner ids are only used for
-//! equality/memoization and memo counts are deterministic per context, so a
-//! warm run produces bit-identical programs, orderings and retained sets for
-//! any thread count and steal seed (pinned in `tests/determinism.rs`). Only
-//! the warm-reuse counters in [`TableStoreStats`] observe the difference.
+//! equality and memoization, and every apply entry a snapshot carries is the
+//! one a cold run derives, so a warm run produces bit-identical programs,
+//! orderings and retained sets for any thread count and steal seed (pinned
+//! in `tests/determinism.rs`). Only the warm-reuse counters in
+//! [`TableStoreStats`] observe the difference.
 //!
-//! The store is deliberately forgiving: a missing, torn, version-skewed or
-//! otherwise corrupt snapshot is a counted cache miss, never an error —
-//! exactly the plan store's contract. Writes go through
+//! The store is deliberately forgiving: a missing, torn, version-skewed,
+//! digest-mismatched or otherwise corrupt snapshot is a counted cache miss,
+//! never an error or a panic — exactly the plan store's contract. Each
+//! record's first line is the [`Fingerprint`] of the JSON document after
+//! it, so a flipped bit that still parses (an apply outcome naming the
+//! wrong state, say) cannot silently change a plan. Writes go through
 //! [`p2_json::write_atomically`] so a crash mid-save can never leave a torn
 //! snapshot under a valid key.
 
@@ -32,7 +36,6 @@ use std::time::Instant;
 use p2_collectives::{SemanticsError, SharedTables, State};
 use p2_hash::Fingerprint;
 use p2_json::{Json, JsonObject};
-use p2_synthesis::{MemoBank, MemoSlab, MEMO_UNKNOWN};
 
 use crate::canonical::CANONICAL_TABLES_VERSION;
 
@@ -41,8 +44,8 @@ use crate::canonical::CANONICAL_TABLES_VERSION;
 pub type ApplyEntry = (Box<[u32]>, Result<Arc<[u32]>, SemanticsError>);
 
 /// One sweep's search tables in serializable form: the interned device
-/// states in id order, the collective apply cache re-keyed by those dense
-/// ids, and the per-context suffix-memo slabs.
+/// states in id order and the collective apply cache re-keyed by those dense
+/// ids.
 #[derive(Debug, Clone)]
 pub struct TableSnapshot {
     /// Interned device states, index = interner id. Serialized in id order so
@@ -50,13 +53,11 @@ pub struct TableSnapshot {
     pub states: Vec<State>,
     /// Apply-cache entries with their memoized outcomes.
     pub apply: Vec<ApplyEntry>,
-    /// Suffix-memo slabs by context key, in key order.
-    pub memo: Vec<(String, MemoSlab)>,
 }
 
-/// Counters describing one session's or planner table key's interaction with
-/// the table store: what was loaded, how much of it warmed the run, and what
-/// was saved back.
+/// Counters describing one table key's interaction with the table store:
+/// what was loaded, how much of it warmed the tables, and what was saved
+/// back.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TableStoreStats {
     /// The snapshot address, `{:032x}`-rendered.
@@ -70,14 +71,6 @@ pub struct TableStoreStats {
     pub warm_states: usize,
     /// Apply-cache entries adopted from the snapshot.
     pub warm_apply_entries: usize,
-    /// Suffix-memo slabs adopted from the snapshot.
-    pub warm_memo_slabs: usize,
-    /// Known suffix-memo entries adopted from the snapshot, summed over slabs.
-    pub warm_memo_entries: usize,
-    /// Searches that started from a warm memo slab during the run.
-    pub seeded_searches: usize,
-    /// Known memo entries handed to those searches, summed.
-    pub seeded_entries: usize,
     /// Whether a snapshot was written back after the run.
     pub saved: bool,
     /// Wall-clock microseconds spent serializing + writing the snapshot.
@@ -86,63 +79,42 @@ pub struct TableStoreStats {
     pub saved_states: usize,
     /// Apply-cache entries in the saved snapshot.
     pub saved_apply_entries: usize,
-    /// Suffix-memo slabs in the saved snapshot.
-    pub saved_memo_slabs: usize,
 }
 
 impl TableSnapshot {
-    /// Captures the current content of a sweep's shared tables and memo bank
-    /// (`tables: None` — a sweep interning privately — captures memo slabs
-    /// only). Apply entries are sorted by key so equal tables serialize to
-    /// equal bytes regardless of hash-map iteration order.
-    pub fn capture(tables: Option<&SharedTables>, bank: &MemoBank) -> Self {
-        let (states, mut apply) = match tables {
-            Some(tables) => tables.export(),
-            None => (Vec::new(), Vec::new()),
-        };
+    /// Captures the current content of a sweep's shared tables. Apply
+    /// entries are sorted by key so equal tables serialize to equal bytes
+    /// regardless of hash-map iteration order.
+    pub fn capture(tables: &SharedTables) -> Self {
+        let (states, mut apply) = tables.export();
         apply.sort_by(|(a, _), (b, _)| a.cmp(b));
         TableSnapshot {
             states: states.iter().map(|s| State::clone(s)).collect(),
             apply,
-            memo: bank.export(),
         }
     }
 
     /// Whether the snapshot holds nothing worth persisting.
     pub fn is_empty(&self) -> bool {
-        self.states.is_empty() && self.apply.is_empty() && self.memo.is_empty()
+        self.states.is_empty() && self.apply.is_empty()
     }
 
-    /// Installs the snapshot into empty tables and a memo bank, recording
-    /// what was adopted into `stats`. The interner preload is all-or-nothing
-    /// (and refuses non-empty tables); memo slabs merge individually.
-    pub fn install(
-        self,
-        tables: Option<&SharedTables>,
-        bank: &MemoBank,
-        stats: &mut TableStoreStats,
-    ) {
+    /// Installs the snapshot into empty tables, recording what was adopted
+    /// into `stats`. The preload is all-or-nothing and refuses non-empty
+    /// tables.
+    pub fn install(self, tables: &SharedTables, stats: &mut TableStoreStats) {
         let num_states = self.states.len();
         let num_entries = self.apply.len();
-        if let Some(tables) = tables {
-            if tables.preload(self.states, self.apply) {
-                stats.warm_states = num_states;
-                stats.warm_apply_entries = num_entries;
-            }
-        }
-        for (key, slab) in self.memo {
-            if slab.is_well_formed() {
-                stats.warm_memo_slabs += 1;
-                stats.warm_memo_entries += slab.known_entries();
-                bank.publish(&key, slab);
-            }
+        if tables.preload(self.states, self.apply) {
+            stats.warm_states = num_states;
+            stats.warm_apply_entries = num_entries;
         }
     }
 
-    /// Serializes the snapshot as the one-document JSON record stored under
-    /// `key`. All `u64` payloads (state bit-matrix words, memo counts) travel
-    /// as hex *strings*: JSON numbers are `f64` and cannot carry them
-    /// bit-exactly.
+    /// Serializes the snapshot as the record stored under `key`: one line
+    /// holding the [`Fingerprint`] of the JSON document that follows it,
+    /// then the document. State bit-matrix words travel as hex *strings*:
+    /// JSON numbers are `f64` and cannot carry a `u64` bit-exactly.
     pub fn to_json_string(&self, key: Fingerprint) -> String {
         let states: Vec<Json> = self
             .states
@@ -167,33 +139,25 @@ impl TableSnapshot {
                 Json::Arr(vec![key_ids, value])
             })
             .collect();
-        let memo: Vec<Json> = self
-            .memo
-            .iter()
-            .map(|(memo_key, slab)| {
-                JsonObject::new()
-                    .push("key", Json::Str(memo_key.clone()))
-                    .push("states", Json::Num(slab.num_states as f64))
-                    .push("width", Json::Num(slab.width as f64))
-                    .push("counts", Json::Str(encode_counts(&slab.counts)))
-                    .build()
-            })
-            .collect();
-        JsonObject::new()
+        let document = JsonObject::new()
             .push("schema", Json::Str(CANONICAL_TABLES_VERSION.to_string()))
             .push("table_key", Json::Str(format!("{key}")))
             .push("states", Json::Arr(states))
             .push("apply", Json::Arr(apply))
-            .push("memo", Json::Arr(memo))
             .build()
-            .to_string()
+            .to_string();
+        format!("{}\n{document}", Fingerprint::of_bytes(document.as_bytes()))
     }
 
-    /// Parses a snapshot record, requiring the schema version and the stored
-    /// key to match. Any malformation returns `None` — the caller treats it
-    /// as a miss.
+    /// Parses a snapshot record, requiring the digest line to match the
+    /// document's bytes and the schema version and the stored key to match.
+    /// Any malformation returns `None` — the caller treats it as a miss.
     pub fn from_json_str(text: &str, key: Fingerprint) -> Option<TableSnapshot> {
-        let doc = Json::parse(text).ok()?;
+        let (digest, document) = text.split_once('\n')?;
+        if Fingerprint::parse_hex(digest)? != Fingerprint::of_bytes(document.as_bytes()) {
+            return None;
+        }
+        let doc = Json::parse(document).ok()?;
         if doc.get("schema")?.as_str()? != CANONICAL_TABLES_VERSION {
             return None;
         }
@@ -242,57 +206,8 @@ impl TableSnapshot {
             };
             apply.push((key_ids?.into_boxed_slice(), value));
         }
-        let mut memo = Vec::new();
-        for entry in doc.get("memo")?.as_arr()? {
-            let slab = MemoSlab {
-                num_states: entry.get("states")?.as_u64()? as usize,
-                width: entry.get("width")?.as_u64()? as usize,
-                counts: decode_counts(entry.get("counts")?.as_str()?)?.into(),
-            };
-            if !slab.is_well_formed() {
-                return None;
-            }
-            memo.push((entry.get("key")?.as_str()?.to_string(), slab));
-        }
-        Some(TableSnapshot {
-            states,
-            apply,
-            memo,
-        })
+        Some(TableSnapshot { states, apply })
     }
-}
-
-/// Comma-joined lowercase-hex memo counts, with `?` marking
-/// [`MEMO_UNKNOWN`] entries.
-fn encode_counts(counts: &[u64]) -> String {
-    let mut out = String::with_capacity(counts.len() * 2);
-    for (i, &count) in counts.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        if count == MEMO_UNKNOWN {
-            out.push('?');
-        } else {
-            use std::fmt::Write as _;
-            let _ = write!(out, "{count:x}");
-        }
-    }
-    out
-}
-
-fn decode_counts(text: &str) -> Option<Vec<u64>> {
-    if text.is_empty() {
-        return Some(Vec::new());
-    }
-    text.split(',')
-        .map(|field| {
-            if field == "?" {
-                Some(MEMO_UNKNOWN)
-            } else {
-                u64::from_str_radix(field, 16).ok()
-            }
-        })
-        .collect()
 }
 
 /// A directory of table snapshots, one `<table_key>.json` per key.
@@ -323,16 +238,10 @@ impl TableStore {
         self.dir.join(format!("{key}.json"))
     }
 
-    /// Warms empty `tables` (`None` for a sweep interning privately) and
-    /// `bank` from the snapshot stored under `key`, returning the load
-    /// telemetry. A missing, unreadable, version-skewed or corrupt snapshot
-    /// is a counted miss that leaves them cold.
-    pub fn warm(
-        &self,
-        key: Fingerprint,
-        tables: Option<&SharedTables>,
-        bank: &MemoBank,
-    ) -> TableStoreStats {
+    /// Warms empty `tables` from the snapshot stored under `key`, returning
+    /// the load telemetry. A missing, unreadable, version-skewed or corrupt
+    /// snapshot is a counted miss that leaves them cold.
+    pub fn warm(&self, key: Fingerprint, tables: &SharedTables) -> TableStoreStats {
         let mut stats = TableStoreStats {
             table_key: format!("{key}"),
             ..TableStoreStats::default()
@@ -340,36 +249,27 @@ impl TableStore {
         let started = Instant::now();
         if let Some(snapshot) = self.load(key) {
             stats.loaded = true;
-            snapshot.install(tables, bank, &mut stats);
+            snapshot.install(tables, &mut stats);
         }
         stats.load_micros = started.elapsed().as_micros() as u64;
         stats
     }
 
-    /// Captures `tables` and `bank` after a run and saves them under `key`,
-    /// recording the save and the bank's seeded-search counters into
-    /// `stats`. An empty capture is not written; a failed write leaves
-    /// `stats.saved` false.
-    pub fn persist(
-        &self,
-        key: Fingerprint,
-        tables: Option<&SharedTables>,
-        bank: &MemoBank,
-        stats: &mut TableStoreStats,
-    ) {
+    /// Captures `tables` after a run and saves them under `key`, recording
+    /// the save into `stats`. An empty capture is not written; a failed
+    /// write leaves `stats.saved` false.
+    pub fn persist(&self, key: Fingerprint, tables: &SharedTables, stats: &mut TableStoreStats) {
         let started = Instant::now();
-        let snapshot = TableSnapshot::capture(tables, bank);
+        let snapshot = TableSnapshot::capture(tables);
         stats.saved_states = snapshot.states.len();
         stats.saved_apply_entries = snapshot.apply.len();
-        stats.saved_memo_slabs = snapshot.memo.len();
         stats.saved = !snapshot.is_empty() && self.save(key, &snapshot).is_ok();
         stats.save_micros = started.elapsed().as_micros() as u64;
-        stats.seeded_searches = bank.seeded_searches();
-        stats.seeded_entries = bank.seeded_entries();
     }
 
     /// Loads and validates the snapshot stored under `key`. Missing files,
-    /// unreadable files, version skew and key mismatches all return `None`.
+    /// unreadable files, digest mismatches, version skew and key mismatches
+    /// all return `None`.
     fn load(&self, key: Fingerprint) -> Option<TableSnapshot> {
         let text = std::fs::read_to_string(self.path_for(key)).ok()?;
         TableSnapshot::from_json_str(&text, key)
@@ -388,7 +288,7 @@ mod tests {
     use super::*;
     use p2_collectives::Collective;
 
-    fn sample_tables() -> (SharedTables, MemoBank) {
+    fn sample_tables() -> SharedTables {
         let tables = SharedTables::new();
         let (a, _) = tables.intern(State::initial(4, 0));
         let (b, _) = tables.intern(State::initial(4, 1));
@@ -396,21 +296,14 @@ mod tests {
         assert!(ok.is_ok(), "disjoint initial states should reduce");
         let (err, _) = tables.apply(Collective::AllReduce, &[a, a]);
         assert!(err.is_err(), "overlapping contributions should be rejected");
-        let bank = MemoBank::new();
-        bank.publish(
-            "memo-v1|test",
-            MemoSlab {
-                num_states: 2,
-                width: 3,
-                counts: vec![1, MEMO_UNKNOWN, u64::MAX - 1, 0, 7, MEMO_UNKNOWN].into(),
-            },
-        );
-        (tables, bank)
+        // One more state after the reduced one, so a flipped output id can
+        // still name a valid state.
+        tables.intern(State::initial(4, 2));
+        tables
     }
 
     fn sample_snapshot() -> TableSnapshot {
-        let (tables, bank) = sample_tables();
-        TableSnapshot::capture(Some(&tables), &bank)
+        TableSnapshot::capture(&sample_tables())
     }
 
     #[test]
@@ -421,12 +314,8 @@ mod tests {
         let back = TableSnapshot::from_json_str(&text, key).expect("valid snapshot");
         assert_eq!(back.states, snapshot.states);
         assert_eq!(back.apply, snapshot.apply);
-        assert_eq!(back.memo, snapshot.memo);
         // Serialization is canonical: re-serializing reproduces the bytes.
         assert_eq!(back.to_json_string(key), text);
-        // Saturated (near-u64::MAX) counts survive — they cannot travel as
-        // JSON numbers.
-        assert!(back.memo[0].1.counts.contains(&(u64::MAX - 1)));
     }
 
     #[test]
@@ -436,11 +325,69 @@ mod tests {
         let text = snapshot.to_json_string(key);
         let other = Fingerprint::of_bytes(b"other-key");
         assert!(TableSnapshot::from_json_str(&text, other).is_none());
-        let skewed = text.replace(CANONICAL_TABLES_VERSION, "p2-tables-v0");
-        assert!(TableSnapshot::from_json_str(&skewed, key).is_none());
+        let (_, document) = text.split_once('\n').unwrap();
+        let skewed = document.replace(CANONICAL_TABLES_VERSION, "p2-tables-v0");
+        let resealed = format!("{}\n{skewed}", Fingerprint::of_bytes(skewed.as_bytes()));
+        assert!(TableSnapshot::from_json_str(&resealed, key).is_none());
+        // A document without its digest line is a miss too.
+        assert!(TableSnapshot::from_json_str(document, key).is_none());
         for corrupt in ["", "{", "{\"schema\":3}", "null"] {
             assert!(TableSnapshot::from_json_str(corrupt, key).is_none());
         }
+    }
+
+    #[test]
+    fn a_flipped_bit_in_an_apply_outcome_is_a_miss() {
+        let snapshot = sample_snapshot();
+        let key = Fingerprint::of_bytes(b"test-key");
+        let text = snapshot.to_json_string(key);
+        let (digest, document) = text.split_once('\n').unwrap();
+        // Flip the low bit of the first output id: its last decimal digit
+        // changes in the low bit alone, so the document still parses and
+        // still passes the preload's id-range checks.
+        let mut tampered = snapshot.clone();
+        let outcome = tampered
+            .apply
+            .iter_mut()
+            .find_map(|(_, value)| value.as_mut().ok())
+            .expect("the sample caches a successful application");
+        let mut ids = outcome.to_vec();
+        ids[0] ^= 1;
+        assert!((ids[0] as usize) < snapshot.states.len());
+        *outcome = ids.into();
+        let tampered_text = tampered.to_json_string(key);
+        let (_, tampered_document) = tampered_text.split_once('\n').unwrap();
+        let flipped_bits: u32 = document
+            .bytes()
+            .zip(tampered_document.bytes())
+            .map(|(a, b)| (a ^ b).count_ones())
+            .sum();
+        assert_eq!(document.len(), tampered_document.len());
+        assert_eq!(flipped_bits, 1);
+        // Under its own digest the tampered document loads, so only the
+        // digest can tell the flip apart.
+        assert!(TableSnapshot::from_json_str(&tampered_text, key).is_some());
+        let forged = format!("{digest}\n{tampered_document}");
+        assert!(TableSnapshot::from_json_str(&forged, key).is_none());
+    }
+
+    #[test]
+    fn a_state_whose_size_overflows_is_a_miss_not_a_panic() {
+        let key = Fingerprint::of_bytes(b"test-key");
+        // k = 2^35: `k * k.div_ceil(64)` overflows a 64-bit usize.
+        let state = Json::Arr(vec![
+            Json::Num((1u64 << 35) as f64),
+            Json::Str(String::new()),
+        ]);
+        let document = JsonObject::new()
+            .push("schema", Json::Str(CANONICAL_TABLES_VERSION.to_string()))
+            .push("table_key", Json::Str(format!("{key}")))
+            .push("states", Json::Arr(vec![state]))
+            .push("apply", Json::Arr(Vec::new()))
+            .build()
+            .to_string();
+        let record = format!("{}\n{document}", Fingerprint::of_bytes(document.as_bytes()));
+        assert!(TableSnapshot::from_json_str(&record, key).is_none());
     }
 
     #[test]
@@ -455,40 +402,36 @@ mod tests {
         let key = Fingerprint::of_bytes(b"store-key");
         // Missing directory, missing file: a miss that leaves the tables
         // cold, not an error; an empty capture is not written.
-        let (tables, bank) = (SharedTables::new(), MemoBank::new());
-        let mut stats = store.warm(key, Some(&tables), &bank);
+        let tables = SharedTables::new();
+        let mut stats = store.warm(key, &tables);
         assert!(!stats.loaded);
         assert_eq!(stats.table_key, format!("{key}"));
-        store.persist(key, Some(&tables), &bank, &mut stats);
+        store.persist(key, &tables, &mut stats);
         assert!(!stats.saved);
         assert!(!store.path_for(key).exists());
-        // A populated pair persists; warming fresh tables from it reproduces
-        // ids and contents and fills the counters.
-        let (tables, bank) = sample_tables();
-        let snapshot = TableSnapshot::capture(Some(&tables), &bank);
+        // Populated tables persist; warming fresh tables from them
+        // reproduces ids and contents and fills the counters.
+        let tables = sample_tables();
+        let snapshot = TableSnapshot::capture(&tables);
         let mut saved = TableStoreStats::default();
-        store.persist(key, Some(&tables), &bank, &mut saved);
+        store.persist(key, &tables, &mut saved);
         assert!(saved.saved);
         assert_eq!(saved.saved_states, snapshot.states.len());
         assert_eq!(saved.saved_apply_entries, snapshot.apply.len());
-        assert_eq!(saved.saved_memo_slabs, 1);
-        let (tables, bank) = (SharedTables::new(), MemoBank::new());
-        let stats = store.warm(key, Some(&tables), &bank);
+        let tables = SharedTables::new();
+        let stats = store.warm(key, &tables);
         assert!(stats.loaded);
         assert_eq!(stats.warm_states, snapshot.states.len());
         assert_eq!(stats.warm_apply_entries, snapshot.apply.len());
-        assert_eq!(stats.warm_memo_slabs, 1);
-        assert_eq!(stats.warm_memo_entries, 4);
         assert_eq!(tables.num_apply_entries(), snapshot.apply.len());
-        let back = TableSnapshot::capture(Some(&tables), &bank);
+        let back = TableSnapshot::capture(&tables);
         assert_eq!(back.states, snapshot.states);
         assert_eq!(back.apply, snapshot.apply);
-        assert_eq!(back.memo, snapshot.memo);
         // Torn/corrupt snapshot bytes under the key: a miss again.
         std::fs::write(store.path_for(key), "{\"schema\":").unwrap();
-        let (tables, bank) = (SharedTables::new(), MemoBank::new());
-        assert!(!store.warm(key, Some(&tables), &bank).loaded);
-        assert_eq!((tables.num_states(), bank.len()), (0, 0));
+        let tables = SharedTables::new();
+        assert!(!store.warm(key, &tables).loaded);
+        assert_eq!(tables.num_states(), 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

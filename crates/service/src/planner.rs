@@ -21,7 +21,6 @@ use std::time::{Duration, Instant};
 use p2_collectives::SharedTables;
 use p2_core::{run_batch, BatchOptions, RunObserver, TableStore, TableStoreStats, P2};
 use p2_hash::{Fingerprint, FxHashMap};
-use p2_synthesis::MemoBank;
 
 use crate::error::ServiceError;
 use crate::plan::Plan;
@@ -55,13 +54,13 @@ pub struct PlannerConfig {
     /// expire. Forwarded to [`PlanStore::with_ttl`].
     pub store_ttl: Option<Duration>,
     /// Cross-run table-store directory. The planner always keeps one
-    /// [`SharedTables`] + [`MemoBank`] pair *per table key*, so later
-    /// syntheses of a family reuse the interned states, memoized collective
-    /// applications and suffix memos of earlier ones. When set, the planner
-    /// also loads the key's snapshot the first time a batch needs it and
-    /// saves the key's tables after every batch that touched it — so a
-    /// restarted planner warm-starts from disk. Result-invisible either way
-    /// (pinned by the determinism suite).
+    /// [`SharedTables`] *per table key*, so later syntheses of a family
+    /// reuse the interned states and memoized collective applications of
+    /// earlier ones. When set, the planner also loads the key's snapshot the
+    /// first time a batch needs it and saves the key's tables after every
+    /// batch that touched it — so a restarted planner warm-starts from disk.
+    /// The planner is the only persister of search tables. Result-invisible
+    /// either way (pinned by the determinism suite).
     pub tables_dir: Option<std::path::PathBuf>,
 }
 
@@ -264,9 +263,6 @@ struct Counters {
     warm_states: AtomicU64,
 }
 
-/// The shared interner/apply tables and memo bank warming one table key.
-type WarmPair = (Arc<SharedTables>, Arc<MemoBank>);
-
 struct PlannerInner {
     config: PlannerConfig,
     store: Mutex<PlanStore>,
@@ -275,10 +271,10 @@ struct PlannerInner {
     queue_wake: Condvar,
     stats: Counters,
     shutdown: AtomicBool,
-    /// One pair per table key. Keying by table key keeps each snapshot pure
-    /// (only that key's states), which is what the all-or-nothing preload
-    /// contract requires.
-    tables: Mutex<FxHashMap<u128, WarmPair>>,
+    /// One set of search tables per table key. Keying by table key keeps
+    /// each snapshot pure (only that key's states), which is what the
+    /// all-or-nothing preload contract requires.
+    tables: Mutex<FxHashMap<u128, Arc<SharedTables>>>,
     /// Present only with [`PlannerConfig::tables_dir`].
     table_store: Option<TableStore>,
     observer: Option<Arc<dyn RunObserver + Send + Sync>>,
@@ -603,18 +599,16 @@ fn worker_loop(inner: &Arc<PlannerInner>) {
     }
 }
 
-/// Lends the session the planner's tables and memo bank for its table key,
-/// created the first time the key is seen and then warmed from the table
-/// store, if any. Borrowed tables are never persisted by the session, so
-/// the planner is the sole persister.
+/// Lends the session the planner's tables for its table key, created the
+/// first time the key is seen and then warmed from the table store, if any.
+/// Sessions never persist tables, so the planner is the sole persister.
 fn warm_session(inner: &PlannerInner, session: P2) -> P2 {
     let key = session.config().table_key();
     let mut tables = inner.tables.lock().expect("tables poisoned");
-    let (tables, bank) = tables.entry(key.0).or_insert_with(|| {
+    let tables = tables.entry(key.0).or_insert_with(|| {
         let tables = Arc::new(SharedTables::new());
-        let bank = Arc::new(MemoBank::new());
         if let Some(store) = &inner.table_store {
-            let stats = store.warm(key, Some(&tables), &bank);
+            let stats = store.warm(key, &tables);
             let counters = &inner.stats;
             counters
                 .snapshot_loads
@@ -626,9 +620,9 @@ fn warm_session(inner: &PlannerInner, session: P2) -> P2 {
                 .snapshot_load_micros
                 .fetch_add(stats.load_micros, Ordering::Relaxed);
         }
-        (tables, bank)
+        tables
     });
-    session.with_shared_tables(Arc::clone(tables), Arc::clone(bank))
+    session.with_shared_tables(Arc::clone(tables))
 }
 
 /// Saves one snapshot per table key the finished batch touched. Failed or
@@ -646,11 +640,11 @@ fn save_touched_snapshots(inner: &PlannerInner, jobs: &[(Queued, P2)]) {
     keys.dedup();
     let tables = inner.tables.lock().expect("tables poisoned");
     for key in keys {
-        let Some((key_tables, bank)) = tables.get(&key.0) else {
+        let Some(key_tables) = tables.get(&key.0) else {
             continue;
         };
         let mut stats = TableStoreStats::default();
-        store.persist(key, Some(key_tables), bank, &mut stats);
+        store.persist(key, key_tables, &mut stats);
         let counters = &inner.stats;
         counters
             .snapshot_saves
@@ -742,25 +736,94 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Sums the suffix-memo entries every synthesized placement started from.
-    #[derive(Default)]
-    struct PreloadCounter(AtomicU64);
+    #[test]
+    fn a_snapshot_with_a_flipped_bit_is_a_miss_and_the_plan_stays_cold() {
+        use p2_core::TableSnapshot;
+        let dir = std::env::temp_dir().join(format!(
+            "p2-planner-flip-test-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = PlannerConfig {
+            threads: 2,
+            tables_dir: Some(dir.clone()),
+            ..PlannerConfig::default()
+        };
+        // The plan carries every program, so a flip that changes any of
+        // them shows in its entries.
+        let request = || {
+            PlanRequest::new(p2_topology::presets::a100_system(2), vec![8, 4], vec![0])
+                .with_bytes_per_device(1.0e9)
+                .with_repeats(2)
+                .with_top_k(usize::MAX)
+        };
+        let cold_planner = Planner::new(config.clone()).unwrap();
+        let cold = cold_planner.plan("flip", request()).unwrap();
+        cold_planner.shutdown();
+        assert_eq!(cold_planner.stats().snapshot_saves, 1);
+        drop(cold_planner);
+        // Flip the low bit of one apply outcome's first output id, keeping
+        // the digest line: the document still parses, and its ids stay in
+        // range, so only the digest can tell.
+        let key = request().session().unwrap().config().table_key();
+        let path = TableStore::new(&dir).path_for(key);
+        let text = std::fs::read_to_string(&path).unwrap();
+        let (digest, _) = text.split_once('\n').unwrap();
+        let mut snapshot = TableSnapshot::from_json_str(&text, key).expect("saved snapshot");
+        let num_states = snapshot.states.len();
+        let outcome = snapshot
+            .apply
+            .iter_mut()
+            .filter_map(|(_, value)| value.as_mut().ok())
+            .find(|ids| ((ids[0] ^ 1) as usize) < num_states)
+            .expect("an outcome whose flipped id stays in range");
+        let mut ids = outcome.to_vec();
+        ids[0] ^= 1;
+        *outcome = ids.into();
+        let tampered = snapshot.to_json_string(key);
+        let (_, document) = tampered.split_once('\n').unwrap();
+        std::fs::write(&path, format!("{digest}\n{document}")).unwrap();
+        // A restarted planner refuses the snapshot and plans cold.
+        let restarted = Planner::new(config).unwrap();
+        let replanned = restarted.plan("flip", request()).unwrap();
+        restarted.shutdown();
+        assert_eq!(replanned.source, PlanSource::Synthesized);
+        let stats = restarted.stats();
+        assert_eq!(stats.snapshot_loads, 0);
+        assert_eq!(stats.warm_states, 0);
+        assert_eq!(replanned.plan.fingerprint, cold.plan.fingerprint);
+        assert_eq!(replanned.plan.stats.programs, cold.plan.stats.programs);
+        assert_eq!(replanned.plan.entries, cold.plan.entries);
+        for (a, b) in replanned.plan.entries.iter().zip(&cold.plan.entries) {
+            assert_eq!(a.predicted_seconds.to_bits(), b.predicted_seconds.to_bits());
+            assert_eq!(a.measured_seconds.to_bits(), b.measured_seconds.to_bits());
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 
-    impl RunObserver for PreloadCounter {
+    /// Records `(shared_states_reused, unique_device_states)` of every
+    /// synthesized placement, in completion order.
+    #[derive(Default)]
+    struct ReuseLog(Mutex<Vec<(usize, usize)>>);
+
+    impl RunObserver for ReuseLog {
         fn on_placement_done(&self, _index: usize, evaluation: &p2_core::PlacementEvaluation) {
-            self.0
-                .fetch_add(evaluation.suffix_memo_preloaded as u64, Ordering::Relaxed);
+            self.0.lock().unwrap().push((
+                evaluation.shared_states_reused,
+                evaluation.unique_device_states,
+            ));
         }
     }
 
     #[test]
-    fn later_requests_of_a_family_start_from_warm_memos_without_a_tables_dir() {
-        let counter = Arc::new(PreloadCounter::default());
+    fn later_requests_of_a_family_start_from_warm_tables_without_a_tables_dir() {
+        let log = Arc::new(ReuseLog::default());
         let config = PlannerConfig {
             threads: 2,
             ..PlannerConfig::default()
         };
-        let planner = Planner::with_observer(config, counter.clone()).unwrap();
+        let planner = Planner::with_observer(config, log.clone()).unwrap();
         let request = |bytes: f64| {
             PlanRequest::new(p2_topology::presets::a100_system(2), vec![8, 4], vec![0])
                 .with_bytes_per_device(bytes)
@@ -768,16 +831,23 @@ mod tests {
         };
         let first = planner.plan("family", request(1.0e9)).unwrap();
         assert_eq!(first.source, PlanSource::Synthesized);
-        assert_eq!(counter.0.load(Ordering::Relaxed), 0, "nothing to warm from");
+        let first_placements = log.0.lock().unwrap().len();
+        assert!(first_placements > 0);
         // Same table key, different plan fingerprint: a second synthesis.
         let resized = request(2.0e9);
         let second = planner.plan("family", resized.clone()).unwrap();
         assert_eq!(second.source, PlanSource::Synthesized);
         planner.shutdown();
-        assert!(
-            counter.0.load(Ordering::Relaxed) > 0,
-            "the second request must start from the first one's suffix memos"
-        );
+        let placements = log.0.lock().unwrap().clone();
+        let later = &placements[first_placements..];
+        assert_eq!(later.len(), first_placements);
+        for &(reused, unique) in later {
+            assert!(unique > 0);
+            assert_eq!(
+                reused, unique,
+                "the second request must find every state the first one interned"
+            );
+        }
         // Warm tables change no bit: the plan equals a fresh one-thread run.
         let session = resized.session().unwrap();
         let fresh = P2::new(session.config().clone().with_threads(1))

@@ -46,7 +46,6 @@ mod dsl;
 mod error;
 mod hierarchy;
 mod lowered;
-mod memo;
 mod steps;
 mod synthesizer;
 
@@ -55,7 +54,6 @@ pub use dsl::{Form, Instruction, Program};
 pub use error::SynthesisError;
 pub use hierarchy::{HierarchyKind, SynthLevel, SynthesisHierarchy};
 pub use lowered::{baseline_allreduce, GroupExec, LoweredProgram, LoweredStep};
-pub use memo::{MemoBank, MemoSlab, MEMO_UNKNOWN};
 pub use steps::EmittedProgram;
 pub use synthesizer::{
     BestCostProgram, ProgramCount, ProgramSink, SinkControl, SynthesisResult, SynthesisStats,

@@ -20,7 +20,6 @@ use crate::dsl::{Form, Instruction, Program};
 use crate::error::SynthesisError;
 use crate::hierarchy::HierarchyKind;
 use crate::lowered::{LoweredProgram, LoweredStep};
-use crate::memo::{MemoBank, MemoSlab};
 use crate::steps::{Candidate, EmittedProgram, StepTable};
 
 /// A `HashSet` through the same hasher as [`FxHashMap`].
@@ -58,11 +57,6 @@ pub struct SynthesisStats {
     /// Suffix-memo entries computed for the first time (the number of
     /// distinct `(state, budget)` pairs the emission actually touched).
     pub suffix_memo_misses: usize,
-    /// Known suffix-memo entries this search started from, when a
-    /// [`MemoBank`] held a slab for its context (zero without a bank or on a
-    /// bank miss). Seeding shifts lookups from `suffix_memo_misses` to
-    /// `suffix_memo_hits`; it never changes a count or an emitted program.
-    pub suffix_memo_preloaded: usize,
     /// Device states this search observed that were already present in a
     /// sweep-shared [`SharedTables`] (interned by another placement, or by an
     /// earlier search over the same tables). Zero without shared tables; under
@@ -181,7 +175,8 @@ struct SuffixMemo {
 }
 
 impl SuffixMemo {
-    const UNKNOWN: u64 = crate::memo::MEMO_UNKNOWN;
+    /// The sentinel of an entry not yet computed.
+    const UNKNOWN: u64 = u64::MAX;
 
     fn new(num_states: usize, max_size: usize) -> Self {
         let width = max_size + 1;
@@ -190,36 +185,6 @@ impl SuffixMemo {
             width,
             hits: 0,
             misses: 0,
-        }
-    }
-
-    /// A memo warm-started from a bank slab when the dimensions match (they
-    /// always do for a slab published by the same context key — the graph is
-    /// deterministic — so a mismatch means a stale or corrupt slab, ignored).
-    /// Returns the memo plus the number of known entries seeded.
-    fn seeded(num_states: usize, max_size: usize, slab: Option<&MemoSlab>) -> (Self, usize) {
-        let width = max_size + 1;
-        if let Some(slab) = slab {
-            if slab.num_states == num_states && slab.width == width && slab.is_well_formed() {
-                let memo = SuffixMemo {
-                    counts: slab.counts.to_vec(),
-                    width,
-                    hits: 0,
-                    misses: 0,
-                };
-                let known = slab.known_entries();
-                return (memo, known);
-            }
-        }
-        (SuffixMemo::new(num_states, max_size), 0)
-    }
-
-    /// Packs the (possibly partially filled) table into a bank slab.
-    fn into_slab(self, num_states: usize) -> MemoSlab {
-        MemoSlab {
-            num_states,
-            width: self.width,
-            counts: self.counts.into(),
         }
     }
 
@@ -329,10 +294,6 @@ pub struct Synthesizer {
     /// Sweep-shared hash-consing tables, when the owning sweep provides them;
     /// otherwise every search builds over a fresh private instance.
     shared: Option<Arc<SharedTables>>,
-    /// Sweep-shared suffix-memo bank: searches seed their counting DP from
-    /// slabs published by earlier searches over the same context (this run,
-    /// or a previous one through the table store).
-    memo_bank: Option<Arc<MemoBank>>,
     /// Worker budget for the level-synchronous DAG build: `1` (default)
     /// expands every level inline, `0` means all cores, `n > 1` a pool of
     /// `n`. See [`Synthesizer::with_build_threads`].
@@ -353,7 +314,6 @@ impl Synthesizer {
         Ok(Synthesizer {
             ctx: SynthesisContext::new(matrix, reduction_axes, kind)?,
             shared: None,
-            memo_bank: None,
             build_threads: 1,
         })
     }
@@ -363,7 +323,6 @@ impl Synthesizer {
         Synthesizer {
             ctx,
             shared: None,
-            memo_bank: None,
             build_threads: 1,
         }
     }
@@ -406,54 +365,6 @@ impl Synthesizer {
     /// The sweep-shared tables, if any were attached.
     pub fn shared_tables(&self) -> Option<&Arc<SharedTables>> {
         self.shared.as_ref()
-    }
-
-    /// Seeds and publishes this synthesizer's suffix memos through a shared
-    /// [`MemoBank`]: the counting/emission DP of a context already solved
-    /// over the same bank (this run or a warm-started previous one) becomes
-    /// pure lookups. Results are bit-identical with or without a bank — the
-    /// memo's values are deterministic; only `suffix_memo_hits/misses` and
-    /// `suffix_memo_preloaded` reflect the seeding.
-    pub fn with_memo_bank(mut self, bank: Arc<MemoBank>) -> Self {
-        self.memo_bank = Some(bank);
-        self
-    }
-
-    /// The shared suffix-memo bank, if one was attached.
-    pub fn memo_bank(&self) -> Option<&Arc<MemoBank>> {
-        self.memo_bank.as_ref()
-    }
-
-    /// Looks up the bank slab for this context at `max_size`, building the
-    /// (seeded or empty) suffix memo, and notes the seeding in `stats`.
-    fn seeded_memo(
-        &self,
-        num_states: usize,
-        max_size: usize,
-        stats: &mut SynthesisStats,
-    ) -> SuffixMemo {
-        let slab = self
-            .memo_bank
-            .as_ref()
-            .and_then(|bank| bank.lookup(&MemoBank::key_for(&self.ctx, max_size)));
-        let (memo, preloaded) = SuffixMemo::seeded(num_states, max_size, slab.as_ref());
-        if preloaded > 0 {
-            if let Some(bank) = &self.memo_bank {
-                bank.note_seeded(preloaded);
-            }
-        }
-        stats.suffix_memo_preloaded = preloaded;
-        memo
-    }
-
-    /// Publishes a finished memo back into the bank (a no-op without one).
-    fn publish_memo(&self, memo: SuffixMemo, num_states: usize, max_size: usize) {
-        if let Some(bank) = &self.memo_bank {
-            bank.publish(
-                &MemoBank::key_for(&self.ctx, max_size),
-                memo.into_slab(num_states),
-            );
-        }
     }
 
     /// The underlying synthesis context.
@@ -619,7 +530,7 @@ impl Synthesizer {
         let mut emission = Emission {
             graph: &built.graph,
             candidates: &candidates,
-            memo: self.seeded_memo(built.graph.len(), max_size, &mut stats),
+            memo: SuffixMemo::new(built.graph.len(), max_size),
             table,
             stack: Vec::with_capacity(max_size),
             step_ids: Vec::with_capacity(max_size),
@@ -654,7 +565,6 @@ impl Synthesizer {
         stats.programs_emitted = emitted;
         stats.suffix_memo_hits = memo.hits;
         stats.suffix_memo_misses = memo.misses;
-        self.publish_memo(memo, built.graph.len(), max_size);
         let steps = table.map_or_else(Vec::new, |table| table.finish(&mut stats));
         stats.emit_duration = emit_start.elapsed();
         stats.duration = start.elapsed();
@@ -708,46 +618,19 @@ impl Synthesizer {
     /// enumeration (the count-only fast path of the streaming engine: the
     /// answer a sink that always returns [`SinkControl::Continue`] and merely
     /// increments a counter would compute, at graph-size cost).
+    ///
+    /// Every count builds the search graph and a fresh suffix memo. Warm
+    /// [`SharedTables`] (see [`Synthesizer::with_shared_tables`]) make the
+    /// build cheaper, since its states are already interned and its
+    /// collective applications already cached, but never skip it.
     pub fn count_programs(&self, max_size: usize) -> ProgramCount {
         let start = Instant::now();
-        // Warm fast path: a bank slab whose initial-state row is fully known
-        // answers the count without building the graph at all. The initial
-        // synthesis state always has id 0 (it seeds the BFS), and the memo's
-        // values are deterministic per context, so the answer is identical
-        // to a cold count — only the stats reflect the shortcut.
-        if let Some(bank) = &self.memo_bank {
-            let key = MemoBank::key_for(&self.ctx, max_size);
-            if let Some(slab) = bank.lookup(&key) {
-                let width = max_size + 1;
-                if slab.is_well_formed() && slab.width == width && slab.num_states > 0 {
-                    let by_length: Vec<u64> = slab.counts[..width].to_vec();
-                    if by_length.iter().all(|&c| c != SuffixMemo::UNKNOWN) {
-                        bank.note_seeded(slab.known_entries());
-                        let total = by_length
-                            .iter()
-                            .fold(0u64, |acc, &count| acc.saturating_add(count));
-                        let mut stats = SynthesisStats {
-                            suffix_memo_preloaded: slab.known_entries(),
-                            suffix_memo_hits: width,
-                            ..SynthesisStats::default()
-                        };
-                        stats.emit_duration = start.elapsed();
-                        stats.duration = start.elapsed();
-                        return ProgramCount {
-                            total,
-                            by_length,
-                            stats,
-                        };
-                    }
-                }
-            }
-        }
         let (candidates, mut stats) = self.sorted_candidates(start);
         let build_start = Instant::now();
         let built = self.build_graph(&candidates, max_size, &mut stats, false);
         stats.build_duration = build_start.elapsed();
         let emit_start = Instant::now();
-        let mut memo = self.seeded_memo(built.graph.len(), max_size, &mut stats);
+        let mut memo = SuffixMemo::new(built.graph.len(), max_size);
         let by_length: Vec<u64> = (0..=max_size)
             .map(|b| memo.completions(&built.graph, built.init_id, b))
             .collect();
@@ -756,7 +639,6 @@ impl Synthesizer {
             .fold(0u64, |acc, &count| acc.saturating_add(count));
         stats.suffix_memo_hits = memo.hits;
         stats.suffix_memo_misses = memo.misses;
-        self.publish_memo(memo, built.graph.len(), max_size);
         stats.emit_duration = emit_start.elapsed();
         stats.duration = start.elapsed();
         ProgramCount {
@@ -1821,44 +1703,6 @@ mod tests {
             "an identical search must find its whole universe already interned"
         );
         assert_eq!(rerun.stats.apply_cache_misses, 0);
-    }
-
-    #[test]
-    fn memo_bank_preserves_results_and_records_seeding() {
-        let bank = Arc::new(MemoBank::new());
-        let cold = synth_d().with_memo_bank(Arc::clone(&bank));
-        assert!(cold.memo_bank().is_some());
-        let bankless = synth_d();
-        for max_size in 1..=5 {
-            // Cold through the bank == bankless.
-            let through_bank = cold.synthesize(max_size);
-            let reference = bankless.synthesize(max_size);
-            assert_eq!(through_bank.programs, reference.programs);
-            let cold_count = bankless.count_programs(max_size);
-            // The bank now holds the memo; a warm search hits it everywhere.
-            let warm = synth_d().with_memo_bank(Arc::clone(&bank));
-            let warm_result = warm.synthesize(max_size);
-            assert_eq!(warm_result.programs, reference.programs);
-            assert!(warm_result.stats.suffix_memo_preloaded > 0);
-            assert_eq!(warm_result.stats.suffix_memo_misses, 0);
-            // Warm count-only takes the graphless fast path, same answer.
-            let warm_count = warm.count_programs(max_size);
-            assert_eq!(warm_count.total, cold_count.total);
-            assert_eq!(warm_count.by_length, cold_count.by_length);
-            assert_eq!(warm_count.stats.states_explored, 0, "graph must be skipped");
-        }
-        assert!(bank.seeded_searches() > 0);
-        assert!(bank.seeded_entries() > 0);
-        // Export/preload into a fresh bank reproduces the warm behavior —
-        // the in-memory form of the table store round trip.
-        let fresh = Arc::new(MemoBank::new());
-        for (key, slab) in bank.export() {
-            fresh.publish(&key, slab);
-        }
-        let rewarmed = synth_d().with_memo_bank(Arc::clone(&fresh));
-        let count = rewarmed.count_programs(5);
-        assert_eq!(count.total, bankless.count_programs(5).total);
-        assert_eq!(count.stats.states_explored, 0);
     }
 
     /// The deterministic subset of build stats: everything except timings,

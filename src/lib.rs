@@ -70,8 +70,8 @@ pub use p2_service::{
     PlannerConfig, PlannerStats, ServiceError,
 };
 pub use p2_synthesis::{
-    baseline_allreduce, EmittedProgram, Form, HierarchyKind, Instruction, LoweredProgram, MemoBank,
-    MemoSlab, Program, ProgramSink, SinkControl, SynthesisStats, Synthesizer,
+    baseline_allreduce, EmittedProgram, Form, HierarchyKind, Instruction, LoweredProgram, Program,
+    ProgramSink, SinkControl, SynthesisStats, Synthesizer,
 };
 pub use p2_topology::presets;
 pub use p2_topology::{Hierarchy, Interconnect, Level, SystemTopology};

@@ -5,9 +5,12 @@
 //! This pins down the `--seed` reproducibility contract: noise is a pure
 //! function of (seed, program content), never of evaluation order.
 
+use std::sync::Arc;
+
+use p2::collectives::SharedTables;
 use p2::{
     presets, run_batch, BatchOptions, ExperimentResult, NcclAlgo, P2Config, RunMode,
-    SystemTopology, P2,
+    SystemTopology, TableStore, TableStoreStats, P2,
 };
 
 fn config(seed: u64) -> P2Config {
@@ -205,40 +208,45 @@ fn warm_started_runs_are_identical_to_cold_runs_for_any_thread_count() {
         std::thread::current().id()
     ));
     let _ = std::fs::remove_dir_all(&dir);
+    let store = TableStore::new(&dir);
+    let key = config(0x5eed).table_key();
     let baseline = P2::new(config(0x5eed).with_threads(1))
         .unwrap()
         .run()
         .unwrap();
-    let cold = P2::new(config(0x5eed).with_threads(1).with_table_store_dir(&dir))
+    // A cold run on tables the caller owns, persisted by their owner.
+    let cold_tables = Arc::new(SharedTables::new());
+    let cold = P2::new(config(0x5eed).with_threads(1))
         .unwrap()
+        .with_shared_tables(Arc::clone(&cold_tables))
         .run()
         .unwrap();
-    let cold_stats = cold.table_store.clone().expect("store was active");
-    assert!(!cold_stats.loaded);
+    let mut cold_stats = TableStoreStats::default();
+    store.persist(key, &cold_tables, &mut cold_stats);
     assert!(cold_stats.saved);
     assert!(cold_stats.saved_states > 0);
     assert_identical(&baseline, &cold);
     for threads in [1usize, 2, 8] {
-        let warm = P2::new(
-            config(0x5eed)
-                .with_threads(threads)
-                .with_table_store_dir(&dir),
-        )
-        .unwrap()
-        .run()
-        .unwrap();
-        let stats = warm.table_store.clone().expect("store was active");
+        let tables = Arc::new(SharedTables::new());
+        let stats = store.warm(key, &tables);
         assert!(stats.loaded, "threads={threads}: snapshot must load");
-        assert_eq!(stats.table_key, cold_stats.table_key);
         assert_eq!(stats.warm_states, cold_stats.saved_states);
-        assert!(stats.seeded_searches > 0, "threads={threads}");
+        assert_eq!(stats.warm_apply_entries, cold_stats.saved_apply_entries);
+        let warm = P2::new(config(0x5eed).with_threads(threads))
+            .unwrap()
+            .with_shared_tables(Arc::clone(&tables))
+            .run()
+            .unwrap();
         assert_identical(&baseline, &warm);
-        // The warm interner starts from exactly the cold run's final state
-        // set and produces the same states, so the final sizes agree too.
-        assert_eq!(
-            warm.shared_unique_device_states,
-            cold.shared_unique_device_states
-        );
+        // Every placement finds its whole universe in the snapshot, and the
+        // warm tables end exactly where the cold ones did.
+        for placement in &warm.placements {
+            assert_eq!(
+                placement.shared_states_reused, placement.unique_device_states,
+                "threads={threads}"
+            );
+        }
+        assert_eq!(tables.num_states(), cold_tables.num_states());
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
