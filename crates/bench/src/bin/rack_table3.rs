@@ -44,10 +44,10 @@ fn evaluate_bin(kind: p2_cost::CostModelKind, racks: usize, oversubscription: f6
     let devices = system.num_devices();
     let axes = vec![4, devices / 4];
     let bytes = (1u64 << 26) as f64 * racks as f64 * 4.0;
-    let config = P2Config::new(system.clone(), axes.clone(), vec![0])
-        .with_bytes_per_device(bytes)
-        .with_repeats(2)
-        .with_seed(0xb2b2);
+    let mut config = P2Config::new(system.clone(), axes.clone(), vec![0]);
+    config.bytes_per_device = bytes;
+    config.repeats = 2;
+    config.seed = 0xb2b2;
     let model = config.make_cost_model(kind).expect("cost model builds");
     let exec = Executor::new(
         &system,

@@ -50,11 +50,10 @@ fn evaluate_block(
     let models: Vec<_> = NcclAlgo::ALL
         .iter()
         .map(|&algo| {
-            P2Config::new(system.clone(), axes.to_vec(), vec![0])
-                .with_algo(algo)
-                .with_bytes_per_device(bytes)
-                .make_cost_model(kind)
-                .expect("cost model builds")
+            let mut config = P2Config::new(system.clone(), axes.to_vec(), vec![0]);
+            config.algo = algo;
+            config.bytes_per_device = bytes;
+            config.make_cost_model(kind).expect("cost model builds")
         })
         .collect();
     let matrices = enumerate_matrices(&system.hierarchy().arities(), axes)

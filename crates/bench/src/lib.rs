@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use p2_core::{ExperimentResult, P2Builder, P2Config, P2Error, RunObserver, P2};
+use p2_core::{ExperimentResult, P2Builder, P2Error, RunObserver, P2};
 
 pub use p2_core::{run_batch, BatchOptions, BatchOutcome};
 use p2_cost::{CostModel, CostModelKind, NcclAlgo, StepTimes};
@@ -83,56 +83,19 @@ impl ExperimentSpec {
         }
     }
 
-    /// The per-device buffer the paper uses: `2^29 × nodes` float32 elements.
-    pub fn bytes_per_device(&self) -> f64 {
-        (1u64 << 29) as f64 * self.nodes as f64 * 4.0
-    }
-
-    /// Builds the [`P2Config`] for this experiment.
-    pub fn config(&self) -> P2Config {
-        P2Config::new(
-            self.system.system(self.nodes),
-            self.axes.clone(),
-            self.reduction.clone(),
-        )
-        .with_algo(self.algo)
-        .with_bytes_per_device(self.bytes_per_device())
-        .with_repeats(3)
-        .with_seed(0xb2b2)
-    }
-
-    /// Starts a session builder preloaded with this experiment's settings
-    /// (derived from [`ExperimentSpec::config`], so the two cannot drift),
-    /// for callers that want to adjust the mode, retention or thread count
-    /// before running.
+    /// Starts the session builder for this experiment: the paper's buffer
+    /// of `2^29 × nodes` float32 elements (the [`P2Config::new`] default),
+    /// 3 repeats and seed `0xb2b2`. Callers adjust the mode, retention or
+    /// thread count before building.
+    ///
+    /// [`P2Config::new`]: p2_core::P2Config::new
     pub fn session(&self) -> P2Builder {
-        P2Builder::from_config(self.config())
-    }
-
-    /// Runs the full pipeline for this experiment.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the specification is internally inconsistent (axis product
-    /// not matching the device count) — specifications in this crate are
-    /// static and known-good.
-    pub fn run(&self) -> ExperimentResult {
-        self.session().run().expect("pipeline runs")
-    }
-
-    /// [`ExperimentSpec::run`] with a [`RunObserver`] receiving the sweep's
-    /// progress events (e.g. a [`p2_core::ProgressObserver`] for the long
-    /// table sweeps).
-    ///
-    /// # Panics
-    ///
-    /// Same as [`ExperimentSpec::run`].
-    pub fn run_observed(&self, observer: &dyn RunObserver) -> ExperimentResult {
-        self.session()
-            .build()
-            .expect("spec builds")
-            .run_observed(observer)
-            .expect("pipeline runs")
+        P2::builder(self.system.system(self.nodes))
+            .parallelism_axes(self.axes.clone())
+            .reduction_axes(self.reduction.clone())
+            .algo(self.algo)
+            .repeats(3)
+            .seed(0xb2b2)
     }
 
     /// A human-readable description, e.g. `"4 nodes each with 16 A100, axes [16, 2, 2]"`.
@@ -462,7 +425,6 @@ impl std::fmt::Display for SpeedupSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use p2_core::P2;
 
     #[test]
     fn specs_are_consistent_with_their_systems() {
@@ -474,7 +436,13 @@ mod tests {
                 "spec {} axes do not cover the system",
                 spec.id
             );
-            assert!(spec.config().validate().is_ok());
+            let session = spec.session().build().expect("spec builds");
+            // The paper's buffer, `2^29 × nodes` float32 elements, is the
+            // default the session keeps.
+            assert_eq!(
+                session.config().bytes_per_device.to_bits(),
+                ((1u64 << 29) as f64 * spec.nodes as f64 * 4.0).to_bits()
+            );
             assert!(spec.describe().contains("nodes"));
         }
     }
@@ -509,8 +477,12 @@ mod tests {
             NcclAlgo::Ring,
         );
         // Use a small buffer to keep the test fast.
-        let config = spec.config().with_bytes_per_device(1.0e8).with_repeats(1);
-        let result = P2::new(config).unwrap().run().unwrap();
+        let result = spec
+            .session()
+            .bytes_per_device(1.0e8)
+            .repeats(1)
+            .run()
+            .unwrap();
         let mut summary = SpeedupSummary::default();
         summary.add(&result);
         assert_eq!(summary.mappings, result.placements.len());
@@ -529,10 +501,7 @@ mod tests {
             vec![0],
             NcclAlgo::Ring,
         );
-        let serial = P2::new(spec.config().with_threads(1))
-            .unwrap()
-            .run()
-            .unwrap();
+        let serial = spec.session().threads(1).run().unwrap();
         let parallel = &run_specs_batch(
             std::slice::from_ref(&spec),
             None,
@@ -573,7 +542,7 @@ mod tests {
             );
         }
         // Costing the stream through a cached model changes nothing either.
-        let config = P2Config::new(SystemKind::A100.system(2), vec![8, 4], vec![0]);
+        let config = p2_core::P2Config::new(SystemKind::A100.system(2), vec![8, 4], vec![0]);
         let model = config.make_cost_model(CostModelKind::AlphaBeta).unwrap();
         assert_eq!(
             serial,

@@ -63,7 +63,6 @@ pub fn top_k_accuracy(results: &[ExperimentResult], ks: &[usize]) -> TopKReport 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::P2Config;
     use crate::pipeline::P2;
     use p2_topology::presets;
 
@@ -72,10 +71,12 @@ mod tests {
         // Two small experiments on the 2-node A100 system.
         let mut results = Vec::new();
         for reduction in [vec![0], vec![1]] {
-            let config = P2Config::new(presets::a100_system(2), vec![8, 4], reduction)
-                .with_bytes_per_device(1.0e9)
-                .with_repeats(2);
-            results.push(P2::new(config).unwrap().run().unwrap());
+            let session = P2::builder(presets::a100_system(2))
+                .parallelism_axes([8, 4])
+                .reduction_axes(reduction)
+                .bytes_per_device(1.0e9)
+                .repeats(2);
+            results.push(session.run().unwrap());
         }
         let report = top_k_accuracy(&results, &[1, 2, 3, 5, 10]);
         assert_eq!(report.experiments, 2);

@@ -1,5 +1,5 @@
-//! The experiment-session builder: typed construction of a [`P2`] session
-//! with validation at [`P2Builder::build`].
+//! The experiment-session builder: the one description of a [`P2`]
+//! session, with validation at [`P2Builder::build`].
 
 use std::sync::Arc;
 
@@ -12,14 +12,18 @@ use crate::error::P2Error;
 use crate::pipeline::{RunMode, P2};
 use crate::result::ExperimentResult;
 
-/// Builds a [`P2`] experiment session field by field.
+/// The one description of a [`P2`] experiment session: every knob is set
+/// here.
 ///
 /// Created by [`P2::builder`]. Every setting has the paper's default (see
 /// [`P2Config::new`]); only the parallelism and reduction axes must be
-/// supplied. Validation happens once, at [`build`](P2Builder::build) — an
-/// inconsistent combination (axes not covering the device count, zero
-/// repeats, …) is reported as [`P2Error::InvalidConfig`] there, and a built
-/// session is always runnable.
+/// supplied. The planner's `p2_service::PlanRequest` is a builder plus the
+/// plan's `top_k`, and [`canonical_session`](crate::canonical_session)
+/// renders a builder into the form its fingerprint digests. Validation
+/// happens once, at [`build`](P2Builder::build) — an inconsistent
+/// combination (axes not covering the device count, zero repeats, …) is
+/// reported as [`P2Error::InvalidConfig`] there, and a built session is
+/// always runnable.
 ///
 /// # Examples
 ///
@@ -39,27 +43,26 @@ use crate::result::ExperimentResult;
 /// ```
 #[derive(Debug, Clone)]
 pub struct P2Builder {
-    config: P2Config,
-    cost_model_kind: Option<CostModelKind>,
-    mode: RunMode,
+    pub(crate) config: P2Config,
+    pub(crate) cost_model_kind: Option<CostModelKind>,
+    pub(crate) mode: RunMode,
 }
 
 impl P2Builder {
     /// Starts a builder for `system` with every setting at the paper default.
     pub(crate) fn new(system: SystemTopology) -> Self {
-        P2Builder::from_config(P2Config::new(system, Vec::new(), Vec::new()))
-    }
-
-    /// Starts a builder preloaded from an existing configuration — the
-    /// migration path for code that still assembles a [`P2Config`] by hand.
-    /// Every field of `config` carries over, so
-    /// `P2Builder::from_config(c).build()` validates exactly `c`.
-    pub fn from_config(config: P2Config) -> Self {
         P2Builder {
-            config,
+            config: P2Config::new(system, Vec::new(), Vec::new()),
             cost_model_kind: None,
             mode: RunMode::Measure,
         }
+    }
+
+    /// The settings assembled so far. They are not validated until
+    /// [`build`](P2Builder::build), and a cost model selected by
+    /// [`cost_model_kind`](P2Builder::cost_model_kind) is not built yet.
+    pub fn config(&self) -> &P2Config {
+        &self.config
     }
 
     /// Sets the parallelism axis sizes (e.g. `[8, 4]` for data parallelism 8
@@ -160,12 +163,6 @@ impl P2Builder {
         self
     }
 
-    /// Sets [`P2Config::cost_cache`].
-    pub fn cost_cache(mut self, cost_cache: bool) -> Self {
-        self.config.cost_cache = cost_cache;
-        self
-    }
-
     /// Enables or disables the sweep-wide shared interning tables (see
     /// [`P2Config::shared_intern`]).
     pub fn shared_intern(mut self, shared_intern: bool) -> Self {
@@ -238,6 +235,7 @@ mod tests {
         assert_eq!(b.threads, config.threads);
         assert_eq!(b.keep_top, config.keep_top);
         assert_eq!(b.prune_slack, config.prune_slack);
+        assert_eq!(b.cost_cache, config.cost_cache);
         assert_eq!(b.shared_intern, config.shared_intern);
         assert!(b.shared_intern, "sweep-wide interning defaults on");
         assert_eq!(built.mode(), RunMode::Measure);
@@ -278,62 +276,16 @@ mod tests {
     }
 
     #[test]
-    fn from_config_round_trips_every_field() {
-        let model = P2Config::new(presets::v100_system(2), vec![4, 4], vec![1])
-            .make_cost_model(CostModelKind::LogGp)
-            .unwrap();
-        let tables = Arc::new(p2_collectives::SharedTables::new());
-        let mut config = P2Config::new(presets::v100_system(2), vec![4, 4], vec![1])
-            .with_algo(NcclAlgo::Tree)
-            .with_bytes_per_device(2.0e8)
-            .with_max_program_size(4)
-            .with_hierarchy_kind(HierarchyKind::RowMajor)
-            .with_noise(0.07)
-            .with_seed(99)
-            .with_repeats(4)
-            .with_threads(3)
-            .with_keep_top(6)
-            .with_prune_slack(0.25)
-            .with_cost_model(Arc::clone(&model))
-            .with_cost_cache(false)
-            .with_shared_intern(false);
-        config.shared_tables = Some(Arc::clone(&tables));
-        let rebuilt = P2Builder::from_config(config.clone()).build().unwrap();
-        let r = rebuilt.config();
-        assert_eq!(r.system.name(), config.system.name());
-        assert_eq!(r.parallelism_axes, config.parallelism_axes);
-        assert_eq!(r.reduction_axes, config.reduction_axes);
-        assert_eq!(r.algo, config.algo);
-        assert_eq!(r.bytes_per_device, config.bytes_per_device);
-        assert_eq!(r.max_program_size, config.max_program_size);
-        assert_eq!(r.hierarchy_kind, config.hierarchy_kind);
-        assert_eq!(r.noise_fraction, config.noise_fraction);
-        assert_eq!(r.seed, config.seed);
-        assert_eq!(r.repeats, config.repeats);
-        assert_eq!(r.threads, config.threads);
-        assert_eq!(r.keep_top, config.keep_top);
-        assert_eq!(r.prune_slack, config.prune_slack);
-        assert!(Arc::ptr_eq(r.cost_model.as_ref().unwrap(), &model));
-        assert_eq!(r.cost_cache, config.cost_cache);
-        assert_eq!(r.shared_intern, config.shared_intern);
-        let r_tables = r.shared_tables.as_ref().expect("external tables kept");
-        assert!(Arc::ptr_eq(r_tables, &tables));
-        assert_eq!(rebuilt.mode(), RunMode::Measure);
-    }
-
-    #[test]
     fn cost_model_selection_is_resolved_at_build() {
         let session = P2::builder(presets::a100_system(2))
             .parallelism_axes([8, 4])
             .reduction_axes([0])
             .bytes_per_device(1.0e8)
             .cost_model_kind(CostModelKind::LogGp)
-            .cost_cache(false)
             .build()
             .unwrap();
         let c = session.config();
         assert_eq!(c.cost_model.as_ref().unwrap().name(), "loggp");
-        assert!(!c.cost_cache);
         // An explicit model instance wins over a kind.
         let config = P2Config::new(presets::a100_system(2), vec![32], vec![0]);
         let explicit = config.make_cost_model(CostModelKind::AlphaBeta).unwrap();

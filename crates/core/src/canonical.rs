@@ -14,7 +14,9 @@
 //! synthesis hierarchy kind, noise fraction, seed, repeats, retention
 //! (`keep_top`/`prune_slack`), and the cost model's identity (its
 //! [`name()`](p2_cost::CostModel::name), or `default` for the implicit α–β
-//! model). [`canonical_session`] appends the [`RunMode`].
+//! model). [`canonical_session`] renders a whole session description, a
+//! [`P2Builder`]: its configuration, then the [`RunMode`] and the cost-model
+//! kind.
 //!
 //! What is deliberately **excluded** — the representation-insensitivity half
 //! of the contract:
@@ -43,10 +45,11 @@
 
 use std::fmt::Write as _;
 
-use p2_cost::NcclAlgo;
+use p2_cost::{CostModelKind, NcclAlgo};
 use p2_synthesis::HierarchyKind;
 use p2_topology::SystemTopology;
 
+use crate::builder::P2Builder;
 use crate::config::P2Config;
 use crate::pipeline::RunMode;
 
@@ -214,18 +217,26 @@ impl P2Config {
     }
 }
 
-/// [`P2Config::canonical_form`] plus the session's [`RunMode`] — the string a
-/// plan-request fingerprint digests.
-pub fn canonical_session(config: &P2Config, mode: RunMode) -> String {
-    let mut out = config.canonical_form();
-    let _ = writeln!(out, "mode={}", canonical_mode(mode));
+/// The canonical form of a session description: [`P2Config::canonical_form`]
+/// of its settings, then its [`RunMode`] and its cost-model kind — what a
+/// plan-request fingerprint digests, ahead of the plan's `top_k`.
+///
+/// The kind is rendered even when none was selected: the implicit model is
+/// the α–β one, bit for bit, so both spell `alpha-beta`. A kind is only a
+/// recipe, so the model it builds is not rendered; an explicit
+/// [`P2Builder::cost_model`] instance contributes its name to the
+/// configuration's form.
+pub fn canonical_session(session: &P2Builder) -> String {
+    let mut out = session.config.canonical_form();
+    let _ = writeln!(out, "mode={}", canonical_mode(session.mode));
+    let kind = session.cost_model_kind.unwrap_or(CostModelKind::AlphaBeta);
+    let _ = writeln!(out, "cost_model_kind={}", kind.as_str());
     out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use p2_cost::CostModelKind;
     use p2_topology::presets;
 
     fn base_config() -> P2Config {
@@ -427,16 +438,42 @@ mod tests {
             .starts_with(CANONICAL_TABLES_VERSION));
     }
 
+    fn base_session() -> P2Builder {
+        crate::P2::builder(presets::a100_system(2))
+            .parallelism_axes([8, 4])
+            .reduction_axes([0])
+    }
+
     #[test]
     fn mode_tokens_are_distinct() {
-        let config = base_config();
-        let measure = canonical_session(&config, RunMode::Measure);
-        let short = canonical_session(&config, RunMode::Shortlist(10));
-        let short5 = canonical_session(&config, RunMode::Shortlist(5));
-        let predict = canonical_session(&config, RunMode::PredictOnly);
+        let session = |mode| canonical_session(&base_session().mode(mode));
+        let measure = session(RunMode::Measure);
+        let short = session(RunMode::Shortlist(10));
+        let short5 = session(RunMode::Shortlist(5));
+        let predict = session(RunMode::PredictOnly);
         assert_ne!(measure, short);
         assert_ne!(short, short5);
         assert_ne!(measure, predict);
         assert!(measure.starts_with(CANONICAL_VERSION));
+    }
+
+    #[test]
+    fn a_session_renders_its_config_mode_and_cost_model_kind() {
+        let form = canonical_session(&base_session());
+        assert_eq!(
+            form,
+            format!(
+                "{}mode=measure\ncost_model_kind=alpha-beta\n",
+                base_config().canonical_form()
+            )
+        );
+        // Selecting the implicit kind explicitly is the same session.
+        let explicit = base_session().cost_model_kind(CostModelKind::AlphaBeta);
+        assert_eq!(canonical_session(&explicit), form);
+        let loggp = base_session().cost_model_kind(CostModelKind::LogGp);
+        assert_ne!(canonical_session(&loggp), form);
+        // Result-invisible knobs stay out of the form.
+        let tuned = base_session().threads(3).shared_intern(false);
+        assert_eq!(canonical_session(&tuned), form);
     }
 }

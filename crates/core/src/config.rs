@@ -16,12 +16,14 @@ use crate::error::P2Error;
 /// `2^29 × nodes` float32 elements where "nodes" is the cardinality of the
 /// system's outermost level.
 ///
-/// Prefer assembling experiments through [`P2::builder`], which validates on
-/// `build()` and also carries the run mode; this struct remains the validated
-/// value the builder produces. It is `#[non_exhaustive]`: construct it via
-/// [`P2Config::new`] (fields may be added in later revisions).
+/// Sessions are described through [`P2::builder`], which sets every knob,
+/// validates on `build()` and also carries the run mode; this struct is the
+/// validated plain data a session holds ([`P2::config`]). It is
+/// `#[non_exhaustive]`: construct it via [`P2Config::new`] and assign fields
+/// directly (fields may be added in later revisions).
 ///
 /// [`P2::builder`]: crate::P2::builder
+/// [`P2::config`]: crate::P2::config
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub struct P2Config {
@@ -86,7 +88,7 @@ pub struct P2Config {
     /// distinct search-DAG step once per placement
     /// ([`p2_cost::StepTimes`]) either way, so the flag never changes a
     /// result or a prediction count of [`P2::run`](crate::P2::run); defaults
-    /// to `true`.
+    /// to `true`, and the builder has no setter for it.
     pub cost_cache: bool,
     /// Whether the sweep shares one device-state interner and collective
     /// transposition table ([`p2_collectives::SharedTables`]) across all of
@@ -191,90 +193,6 @@ impl P2Config {
                 })?)
             }
         })
-    }
-
-    /// Sets the NCCL algorithm.
-    pub fn with_algo(mut self, algo: NcclAlgo) -> Self {
-        self.algo = algo;
-        self
-    }
-
-    /// Sets the per-device buffer size in bytes.
-    pub fn with_bytes_per_device(mut self, bytes: f64) -> Self {
-        self.bytes_per_device = bytes;
-        self
-    }
-
-    /// Sets the program-size limit.
-    pub fn with_max_program_size(mut self, size: usize) -> Self {
-        self.max_program_size = size;
-        self
-    }
-
-    /// Sets the synthesis hierarchy kind.
-    pub fn with_hierarchy_kind(mut self, kind: HierarchyKind) -> Self {
-        self.hierarchy_kind = kind;
-        self
-    }
-
-    /// Sets the measurement noise fraction.
-    pub fn with_noise(mut self, noise_fraction: f64) -> Self {
-        self.noise_fraction = noise_fraction;
-        self
-    }
-
-    /// Sets the noise seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Sets the number of simulated runs per measurement.
-    pub fn with_repeats(mut self, repeats: usize) -> Self {
-        self.repeats = repeats;
-        self
-    }
-
-    /// Sets the worker-thread count for the placement sweep (`0` = all cores,
-    /// `1` = serial — the sentinel is resolved by [`p2_par::scope`]).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// Bounds the per-placement retention to the `keep_top` best programs
-    /// (by the final ranking key — see [`P2Config::keep_top`]) and enables
-    /// cost-bound pruning of the stream.
-    pub fn with_keep_top(mut self, keep_top: usize) -> Self {
-        self.keep_top = Some(keep_top);
-        self
-    }
-
-    /// Sets the cost-bound pruning slack (see [`P2Config::prune_slack`]);
-    /// pruning is active only with [`P2Config::with_keep_top`].
-    pub fn with_prune_slack(mut self, prune_slack: f64) -> Self {
-        self.prune_slack = prune_slack;
-        self
-    }
-
-    /// Substitutes the cost model predicting every synthesized program (see
-    /// [`P2Config::cost_model`]).
-    pub fn with_cost_model(mut self, model: Arc<dyn CostModel>) -> Self {
-        self.cost_model = Some(model);
-        self
-    }
-
-    /// Sets [`P2Config::cost_cache`].
-    pub fn with_cost_cache(mut self, cost_cache: bool) -> Self {
-        self.cost_cache = cost_cache;
-        self
-    }
-
-    /// Enables or disables the sweep-wide shared interning tables (see
-    /// [`P2Config::shared_intern`]).
-    pub fn with_shared_intern(mut self, shared_intern: bool) -> Self {
-        self.shared_intern = shared_intern;
-        self
     }
 
     /// Validates the configuration.
@@ -387,6 +305,12 @@ mod tests {
     #[test]
     fn invalid_configs_are_rejected() {
         let sys = presets::a100_system(2);
+        let valid = || P2Config::new(sys.clone(), vec![32], vec![0]);
+        let with = |edit: fn(&mut P2Config)| {
+            let mut config = valid();
+            edit(&mut config);
+            config.validate()
+        };
         assert!(P2Config::new(sys.clone(), vec![], vec![0])
             .validate()
             .is_err());
@@ -399,41 +323,23 @@ mod tests {
         assert!(P2Config::new(sys.clone(), vec![30], vec![0])
             .validate()
             .is_err());
-        assert!(P2Config::new(sys.clone(), vec![32], vec![0])
-            .with_bytes_per_device(-1.0)
-            .validate()
-            .is_err());
-        assert!(P2Config::new(sys.clone(), vec![32], vec![0])
-            .with_max_program_size(0)
-            .validate()
-            .is_err());
-        assert!(P2Config::new(sys.clone(), vec![32], vec![0])
-            .with_repeats(0)
-            .validate()
-            .is_err());
-        assert!(P2Config::new(sys.clone(), vec![32], vec![0])
-            .with_keep_top(0)
-            .validate()
-            .is_err());
-        assert!(P2Config::new(sys.clone(), vec![32], vec![0])
-            .with_prune_slack(-0.1)
-            .validate()
-            .is_err());
-        assert!(P2Config::new(sys.clone(), vec![32], vec![0])
-            .with_prune_slack(f64::NAN)
-            .validate()
-            .is_err());
-        assert!(P2Config::new(sys, vec![32], vec![0])
-            .with_keep_top(5)
-            .with_prune_slack(1.0)
-            .validate()
-            .is_ok());
+        assert!(with(|c| c.bytes_per_device = -1.0).is_err());
+        assert!(with(|c| c.max_program_size = 0).is_err());
+        assert!(with(|c| c.repeats = 0).is_err());
+        assert!(with(|c| c.keep_top = Some(0)).is_err());
+        assert!(with(|c| c.prune_slack = -0.1).is_err());
+        assert!(with(|c| c.prune_slack = f64::NAN).is_err());
+        assert!(with(|c| {
+            c.keep_top = Some(5);
+            c.prune_slack = 1.0;
+        })
+        .is_ok());
     }
 
     #[test]
     fn every_cost_model_kind_builds_for_a_config() {
-        let c =
-            P2Config::new(presets::a100_system(2), vec![32], vec![0]).with_bytes_per_device(1.0e8);
+        let mut c = P2Config::new(presets::a100_system(2), vec![32], vec![0]);
+        c.bytes_per_device = 1.0e8;
         for kind in CostModelKind::ALL {
             let model = c.make_cost_model(kind).expect("kind builds");
             assert_eq!(model.system().num_devices(), 32);
@@ -448,23 +354,25 @@ mod tests {
 
     #[test]
     fn cost_model_for_another_system_is_rejected() {
+        let with_model = |system, axes, model| {
+            let mut config = P2Config::new(system, axes, vec![0]);
+            config.cost_model = Some(model);
+            config
+        };
         let other = P2Config::new(presets::a100_system(4), vec![64], vec![0]);
         let model = other.make_cost_model(CostModelKind::AlphaBeta).unwrap();
-        let config =
-            P2Config::new(presets::a100_system(2), vec![32], vec![0]).with_cost_model(model);
+        let config = with_model(presets::a100_system(2), vec![32], model);
         assert!(config.validate().is_err());
         // Same device count is not enough: a structurally different topology
         // (2-level 64-GPU A100 vs. 3-level 4x2x8 rack system) is rejected too.
         let other = P2Config::new(presets::a100_system(4), vec![64], vec![0]);
         let model = other.make_cost_model(CostModelKind::AlphaBeta).unwrap();
-        let config = P2Config::new(presets::rack_node_gpu_system(4, 2, 8), vec![64], vec![0])
-            .with_cost_model(model);
+        let config = with_model(presets::rack_node_gpu_system(4, 2, 8), vec![64], model);
         assert!(config.validate().is_err());
         // A model over an identical topology passes regardless of its name.
         let same = P2Config::new(presets::a100_system(2), vec![32], vec![0]);
         let model = same.make_cost_model(CostModelKind::LogGp).unwrap();
-        let config = P2Config::new(presets::a100_system(2), vec![32], vec![0]) //
-            .with_cost_model(model);
+        let config = with_model(presets::a100_system(2), vec![32], model);
         assert!(config.validate().is_ok());
     }
 }

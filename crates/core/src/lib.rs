@@ -56,6 +56,6 @@ pub use canonical::{
 pub use config::P2Config;
 pub use error::P2Error;
 pub use observer::{ProgressObserver, RunObserver};
-pub use pipeline::{PendingSweep, RunMode, P2};
+pub use pipeline::{RunMode, P2};
 pub use result::{ExperimentResult, PlacementEvaluation, ProgramEvaluation};
 pub use table_store::{TableSnapshot, TableStore, TableStoreStats};

@@ -217,43 +217,23 @@ impl P2 {
     ///
     /// The session owns its pool here: a work-stealing scope of
     /// [`P2Config::threads`](crate::P2Config) workers is spun up for this run
-    /// alone. To schedule several sessions onto *one* pool — the batch path —
-    /// use [`P2::run_on`] (or [`P2::spawn_sweep`]) with a caller-supplied
-    /// [`Scheduler`].
+    /// alone. To schedule several sessions onto *one* pool, run them through
+    /// [`run_batch`](crate::run_batch).
     ///
     /// # Errors
     ///
     /// Same as [`P2::run`].
     pub fn run_observed(&self, observer: &dyn RunObserver) -> Result<ExperimentResult, P2Error> {
         p2_par::scope(self.config.threads, |scheduler| {
-            self.run_on(scheduler, observer)
+            self.spawn_sweep(scheduler, observer)?.collect(scheduler)
         })
     }
 
-    /// Runs the session's full pipeline on a caller-supplied work-stealing
-    /// scheduler: [`P2::spawn_sweep`] immediately followed by
-    /// [`PendingSweep::collect`].
-    ///
-    /// This is the building block batch drivers use to run many sessions on
-    /// one thread pool without oversubscription; results are bit-identical to
-    /// [`P2::run_observed`] for any pool size or steal schedule.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`P2::run`].
-    pub fn run_on<'env>(
-        &'env self,
-        scheduler: &Scheduler<'_, 'env>,
-        observer: &'env dyn RunObserver,
-    ) -> Result<ExperimentResult, P2Error> {
-        self.spawn_sweep(scheduler, observer)?.collect(scheduler)
-    }
-
     /// Submits one placement-evaluation job per placement to `scheduler` and
-    /// returns without waiting: the session no longer owns its fan-out, so a
-    /// batch driver can spawn *several* sessions' sweeps onto one pool and the
-    /// scheduler steals across their boundaries. Redeem the returned
-    /// [`PendingSweep`] with [`PendingSweep::collect`].
+    /// returns without waiting: the session does not own its fan-out, so
+    /// [`run_batch`](crate::run_batch) can spawn *several* sessions' sweeps
+    /// onto one pool and the scheduler steals across their boundaries.
+    /// Redeem the returned [`PendingSweep`] with [`PendingSweep::collect`].
     ///
     /// Jobs are spawned in placement production order, the order
     /// [`PendingSweep::collect`] joins them in.
@@ -263,7 +243,7 @@ impl P2 {
     /// Returns [`P2Error::InvalidConfig`] for [`RunMode::Shortlist`]`(0)` and
     /// propagates placement-enumeration and cost-model errors — all before
     /// any job is spawned.
-    pub fn spawn_sweep<'env>(
+    pub(crate) fn spawn_sweep<'env>(
         &'env self,
         scheduler: &Scheduler<'_, 'env>,
         observer: &'env dyn RunObserver,
@@ -637,18 +617,13 @@ fn compact_table(table: &[LoweredStep], retained: &mut [Retained]) -> Arc<[Lower
 /// Dropping a `PendingSweep` does not cancel its jobs — they drain on the
 /// pool (their observer events still fire); only their results are
 /// discarded.
-pub struct PendingSweep<'env> {
+pub(crate) struct PendingSweep<'env> {
     session: &'env P2,
     handles: Vec<JobHandle<Result<PlacementEvaluation, P2Error>>>,
     shared: Option<Arc<SharedTables>>,
 }
 
 impl<'env> PendingSweep<'env> {
-    /// Number of placement jobs in flight.
-    pub fn placements(&self) -> usize {
-        self.handles.len()
-    }
-
     /// Joins every placement job in production order, assembles the
     /// [`ExperimentResult`], and — for [`RunMode::Shortlist`] sessions — runs
     /// the shortlist measurements as jobs on the same `scheduler`.
@@ -661,7 +636,10 @@ impl<'env> PendingSweep<'env> {
     ///
     /// Returns the first (in production order) placement error; remaining
     /// jobs drain in the background. Panics inside jobs are re-raised here.
-    pub fn collect(self, scheduler: &Scheduler<'_, 'env>) -> Result<ExperimentResult, P2Error> {
+    pub(crate) fn collect(
+        self,
+        scheduler: &Scheduler<'_, 'env>,
+    ) -> Result<ExperimentResult, P2Error> {
         let PendingSweep {
             session,
             handles,
@@ -700,9 +678,10 @@ mod tests {
 
     /// A small configuration that exercises the whole pipeline quickly.
     fn small_config() -> P2Config {
-        P2Config::new(presets::a100_system(2), vec![8, 4], vec![0])
-            .with_bytes_per_device(1.0e9)
-            .with_repeats(2)
+        let mut config = P2Config::new(presets::a100_system(2), vec![8, 4], vec![0]);
+        config.bytes_per_device = 1.0e9;
+        config.repeats = 2;
+        config
     }
 
     /// The same experiment through the new builder API.
@@ -932,13 +911,15 @@ mod tests {
 
     #[test]
     fn cost_cache_never_changes_results() {
-        let cached = small_builder().cost_cache(true).run().unwrap();
-        let uncached = small_builder().cost_cache(false).run().unwrap();
-        assert_same_numbers(&cached, &uncached);
+        let run = |keep_top: Option<usize>, cost_cache: bool| {
+            let mut config = small_config();
+            config.keep_top = keep_top;
+            config.cost_cache = cost_cache;
+            P2::new(config).unwrap().run().unwrap()
+        };
+        assert_same_numbers(&run(None, true), &run(None, false));
         // Also under bounded retention, where predictions steer pruning.
-        let cached = small_builder().keep_top(3).cost_cache(true).run().unwrap();
-        let uncached = small_builder().keep_top(3).cost_cache(false).run().unwrap();
-        assert_same_numbers(&cached, &uncached);
+        assert_same_numbers(&run(Some(3), true), &run(Some(3), false));
     }
 
     #[test]

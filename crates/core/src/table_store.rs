@@ -23,8 +23,8 @@
 //! The store is deliberately forgiving: a missing, torn, version-skewed,
 //! digest-mismatched or otherwise corrupt snapshot is a counted cache miss,
 //! never an error or a panic — exactly the plan store's contract. Each
-//! record's first line is the [`Fingerprint`] of the JSON document after
-//! it, so a flipped bit that still parses (an apply outcome naming the
+//! record is framed by [`Fingerprint::seal`], as plan records are: its first
+//! line is the fingerprint of the JSON document after it, so a flipped bit that still parses (an apply outcome naming the
 //! wrong state, say) cannot silently change a plan. Writes go through
 //! [`p2_json::write_atomically`] so a crash mid-save can never leave a torn
 //! snapshot under a valid key.
@@ -111,9 +111,9 @@ impl TableSnapshot {
         }
     }
 
-    /// Serializes the snapshot as the record stored under `key`: one line
-    /// holding the [`Fingerprint`] of the JSON document that follows it,
-    /// then the document. State bit-matrix words travel as hex *strings*:
+    /// Serializes the snapshot as the record stored under `key`, sealed by
+    /// [`Fingerprint::seal`]: one line holding the fingerprint of the JSON
+    /// document that follows it, then the document. State bit-matrix words travel as hex *strings*:
     /// JSON numbers are `f64` and cannot carry a `u64` bit-exactly.
     pub fn to_json_string(&self, key: Fingerprint) -> String {
         let states: Vec<Json> = self
@@ -146,18 +146,14 @@ impl TableSnapshot {
             .push("apply", Json::Arr(apply))
             .build()
             .to_string();
-        format!("{}\n{document}", Fingerprint::of_bytes(document.as_bytes()))
+        Fingerprint::seal(&document)
     }
 
     /// Parses a snapshot record, requiring the digest line to match the
     /// document's bytes and the schema version and the stored key to match.
     /// Any malformation returns `None` — the caller treats it as a miss.
     pub fn from_json_str(text: &str, key: Fingerprint) -> Option<TableSnapshot> {
-        let (digest, document) = text.split_once('\n')?;
-        if Fingerprint::parse_hex(digest)? != Fingerprint::of_bytes(document.as_bytes()) {
-            return None;
-        }
-        let doc = Json::parse(document).ok()?;
+        let doc = Json::parse(Fingerprint::unseal(text)?).ok()?;
         if doc.get("schema")?.as_str()? != CANONICAL_TABLES_VERSION {
             return None;
         }

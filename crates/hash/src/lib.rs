@@ -152,6 +152,22 @@ impl Fingerprint {
         }
         u128::from_str_radix(text, 16).ok().map(Fingerprint)
     }
+
+    /// Frames `document` as a sealed record: a first line holding the
+    /// fingerprint of the document's bytes, then the document. Both on-disk
+    /// stores write their records this way, so a flipped bit that still
+    /// parses is caught by [`Fingerprint::unseal`] instead of being served.
+    pub fn seal(document: &str) -> String {
+        format!("{}\n{document}", Fingerprint::of_bytes(document.as_bytes()))
+    }
+
+    /// The document of a record framed by [`Fingerprint::seal`], or `None`
+    /// when the digest line is missing or does not match the document.
+    pub fn unseal(record: &str) -> Option<&str> {
+        let (digest, document) = record.split_once('\n')?;
+        (Fingerprint::parse_hex(digest)? == Fingerprint::of_bytes(document.as_bytes()))
+            .then_some(document)
+    }
 }
 
 impl fmt::Display for Fingerprint {
@@ -202,6 +218,19 @@ mod tests {
         }
         assert_eq!(Fingerprint::parse_hex("zz"), None);
         assert_eq!(Fingerprint::parse_hex(&"f".repeat(33)), None);
+    }
+
+    #[test]
+    fn sealed_records_unseal_only_while_intact() {
+        let record = Fingerprint::seal("{\"measured_bits\":\"3f7ac9\"}");
+        assert_eq!(
+            Fingerprint::unseal(&record),
+            Some("{\"measured_bits\":\"3f7ac9\"}")
+        );
+        let (digest, document) = record.split_once('\n').unwrap();
+        let flipped = format!("{digest}\n{}", document.replace("c9", "c8"));
+        assert_eq!(Fingerprint::unseal(&flipped), None);
+        assert_eq!(Fingerprint::unseal(document), None);
     }
 
     /// **Pinned digests.** These constants are the on-disk cache-key format.

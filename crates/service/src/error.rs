@@ -28,6 +28,14 @@ pub enum ServiceError {
     Store(String),
     /// A wire message could not be parsed or validated.
     Protocol(String),
+    /// The request exceeds an admission limit (see
+    /// [`MAX_PROGRAM_SIZE`](crate::MAX_PROGRAM_SIZE)); it was refused before
+    /// any work was queued.
+    Limit(String),
+    /// The synthesis batch serving the request panicked. The planner drops
+    /// the batch's search tables and keeps serving, so the same request can
+    /// be sent again.
+    Internal(String),
 }
 
 impl fmt::Display for ServiceError {
@@ -44,6 +52,8 @@ impl fmt::Display for ServiceError {
             ServiceError::ShuttingDown => write!(f, "planner is shutting down"),
             ServiceError::Store(msg) => write!(f, "plan store error: {msg}"),
             ServiceError::Protocol(msg) => write!(f, "protocol error: {msg}"),
+            ServiceError::Limit(msg) => write!(f, "request over a limit: {msg}"),
+            ServiceError::Internal(msg) => write!(f, "internal error: {msg}"),
         }
     }
 }

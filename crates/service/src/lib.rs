@@ -57,6 +57,6 @@ pub mod wire;
 pub use error::ServiceError;
 pub use p2_hash::Fingerprint;
 pub use plan::{Plan, PlanEntry, PlanStats, PLAN_SCHEMA_VERSION};
-pub use planner::{PlanResponse, Planner, PlannerConfig, PlannerStats};
+pub use planner::{PlanResponse, Planner, PlannerConfig, PlannerStats, MAX_PROGRAM_SIZE};
 pub use request::{PlanRequest, DEFAULT_TOP_K};
 pub use store::{PlanSource, PlanStore};

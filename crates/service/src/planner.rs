@@ -14,6 +14,7 @@
 //! deadlock; every multi-lock section below follows it.
 
 use std::collections::VecDeque;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -26,6 +27,14 @@ use crate::error::ServiceError;
 use crate::plan::Plan;
 use crate::request::PlanRequest;
 use crate::store::{PlanSource, PlanStore};
+
+/// The largest `max_program_size` the planner admits — the largest size the
+/// workspace pins. Each search's suffix memo holds `states × (size + 1)`
+/// counts, so an unbounded size from the wire could exhaust memory, and an
+/// allocation failure aborts the process instead of failing one request.
+/// [`Planner::plan`] refuses a larger size with [`ServiceError::Limit`]
+/// before fingerprinting it.
+pub const MAX_PROGRAM_SIZE: usize = 8;
 
 /// Planner tuning knobs. `Default` gives a service-ready middle ground;
 /// tests tighten `queue_capacity`/`lru_capacity` to force the edges.
@@ -365,16 +374,25 @@ impl Planner {
     ///
     /// # Errors
     ///
-    /// [`ServiceError::Overloaded`] if the admission queue is full,
-    /// [`ServiceError::ShuttingDown`] during shutdown, or the pipeline /
-    /// store error of a failed synthesis (shared verbatim by every
-    /// coalesced waiter).
+    /// [`ServiceError::Limit`] if the request's program size exceeds
+    /// [`MAX_PROGRAM_SIZE`], [`ServiceError::Overloaded`] if the admission
+    /// queue is full, [`ServiceError::ShuttingDown`] during shutdown,
+    /// [`ServiceError::Internal`] if the synthesis batch panicked, or the
+    /// pipeline / store error of a failed synthesis (shared verbatim by
+    /// every coalesced waiter).
     pub fn plan(&self, tenant: &str, request: PlanRequest) -> Result<PlanResponse, ServiceError> {
         let start = Instant::now();
         let inner = &*self.inner;
         inner.stats.requests.fetch_add(1, Ordering::Relaxed);
         if inner.shutdown.load(Ordering::Acquire) {
             return Err(ServiceError::ShuttingDown);
+        }
+        let size = request.session.config().max_program_size;
+        if size > MAX_PROGRAM_SIZE {
+            inner.stats.rejected.fetch_add(1, Ordering::Relaxed);
+            return Err(ServiceError::Limit(format!(
+                "`max_program_size` {size} exceeds the planner's cap of {MAX_PROGRAM_SIZE}"
+            )));
         }
         let fingerprint = request.fingerprint();
 
@@ -574,8 +592,13 @@ fn worker_loop(inner: &Arc<PlannerInner>) {
             Some(observer) => &**observer,
             None => &(),
         };
-        match run_batch(&sessions, &options, observer) {
-            Ok(outcome) => {
+        // A panic anywhere in the batch fails the batch's requests, not the
+        // worker: it answers them with a typed error and keeps serving.
+        let batch_run = panic::catch_unwind(AssertUnwindSafe(|| {
+            run_batch(&sessions, &options, observer)
+        }));
+        match batch_run {
+            Ok(Ok(outcome)) => {
                 inner
                     .stats
                     .syntheses
@@ -590,12 +613,32 @@ fn worker_loop(inner: &Arc<PlannerInner>) {
                 }
                 save_touched_snapshots(inner, &jobs);
             }
-            Err(error) => {
+            Ok(Err(error)) => {
                 for (queued, _) in &jobs {
                     finish(inner, queued, Err(error.clone().into()));
                 }
             }
+            Err(_) => {
+                // The panic message already went to stderr via the hook.
+                drop_batch_tables(inner, &jobs);
+                let error = ServiceError::Internal(
+                    "a synthesis job panicked; the request can be sent again".to_string(),
+                );
+                for (queued, _) in &jobs {
+                    finish(inner, queued, Err(error.clone()));
+                }
+            }
         }
+    }
+}
+
+/// Forgets the per-key tables a panicked batch used: the panic may have
+/// poisoned a shard lock or cut an update short, so the next request of each
+/// key starts from fresh tables (warmed from the table store, if any).
+fn drop_batch_tables(inner: &PlannerInner, jobs: &[(Queued, P2)]) {
+    let mut tables = inner.tables.lock().expect("tables poisoned");
+    for (_, session) in jobs {
+        tables.remove(&session.config().table_key().0);
     }
 }
 
@@ -849,12 +892,7 @@ mod tests {
             );
         }
         // Warm tables change no bit: the plan equals a fresh one-thread run.
-        let session = resized.session().unwrap();
-        let fresh = P2::new(session.config().clone().with_threads(1))
-            .unwrap()
-            .with_mode(session.mode())
-            .run()
-            .unwrap();
+        let fresh = resized.session.clone().threads(1).run().unwrap();
         let reference = Plan::from_result(resized.fingerprint(), &fresh, resized.top_k);
         assert_eq!(second.plan.fingerprint, reference.fingerprint);
         assert_eq!(second.plan.label, reference.label);
@@ -892,14 +930,14 @@ mod tests {
                             // A distinct buffer size per request: every one
                             // misses the cache and is queued.
                             let bytes = 1.0e6 * (1 + client + 4 * count) as f64;
-                            let request = PlanRequest::new(
+                            let mut request = PlanRequest::new(
                                 p2_topology::presets::a100_system(1),
                                 vec![16],
                                 vec![0],
                             )
-                            .with_max_program_size(1)
                             .with_repeats(1)
                             .with_bytes_per_device(bytes);
+                            request.session = request.session.max_program_size(1);
                             match planner.plan("race", request) {
                                 Ok(_) => {
                                     count += 1;
@@ -932,6 +970,38 @@ mod tests {
                 handle.join().expect("client thread");
             }
         }
+    }
+
+    #[test]
+    fn oversized_program_sizes_are_refused_at_admission() {
+        let planner = Planner::new(PlannerConfig {
+            threads: 1,
+            ..PlannerConfig::default()
+        })
+        .unwrap();
+        let sized = |size: usize| {
+            let mut request =
+                PlanRequest::new(p2_topology::presets::a100_system(1), vec![16], vec![0])
+                    .with_repeats(1);
+            request.session = request.session.max_program_size(size);
+            request
+        };
+        for size in [MAX_PROGRAM_SIZE + 1, 1 << 40, usize::MAX] {
+            match planner.plan("limit", sized(size)) {
+                Err(ServiceError::Limit(message)) => {
+                    assert!(message.contains("`max_program_size`"), "{message}")
+                }
+                other => panic!("size {size} must be refused, got {other:?}"),
+            }
+        }
+        let stats = planner.stats();
+        assert_eq!(stats.rejected, 3);
+        assert_eq!(stats.peak_queue_depth, 0);
+        assert_eq!(stats.syntheses, 0);
+        // The cap itself is admitted and planned.
+        let admitted = planner.plan("limit", sized(MAX_PROGRAM_SIZE)).unwrap();
+        assert_eq!(admitted.source, PlanSource::Synthesized);
+        planner.shutdown();
     }
 
     #[test]

@@ -1,55 +1,44 @@
 //! Plan requests and their content addresses.
 //!
-//! A [`PlanRequest`] is the `ExperimentSpec`-shaped unit the service plans:
-//! a system topology plus the result-relevant experiment knobs. Its
+//! A [`PlanRequest`] is the unit the service plans: a session description
+//! ([`P2Builder`], the one place every experiment knob is set) plus how
+//! many programs the plan carries. Its
 //! [`fingerprint`](PlanRequest::fingerprint) digests the canonical form from
 //! [`p2_core::canonical`] — two requests with the same fingerprint are
 //! guaranteed bit-identical plans by the workspace's determinism pins, which
 //! is what makes the fingerprint safe to use as a cache address that
 //! outlives the process.
 
-use p2_core::{canonical_session, P2Builder, P2Config, P2Error, RunMode, P2};
-use p2_cost::{CostModelKind, NcclAlgo};
+use p2_core::{canonical_session, P2Builder, P2Error, RunMode, P2};
 use p2_hash::Fingerprint;
 use p2_topology::SystemTopology;
 
 /// How many programs a plan carries by default.
 pub const DEFAULT_TOP_K: usize = 3;
 
-/// One plan request: a topology, the experiment axes, and every
-/// result-relevant knob. Construct with [`PlanRequest::new`] and refine with
-/// the `with_*` methods; unset knobs keep the paper defaults from
-/// [`P2Config::new`].
+/// One plan request: a session description and the plan's size. Set any
+/// knob on [`session`](PlanRequest::session) (unset knobs keep the paper
+/// defaults of [`p2_core::P2Config::new`]); the `with_*` methods forward the
+/// common ones.
+///
+/// # Examples
+///
+/// ```
+/// use p2_service::PlanRequest;
+/// use p2_synthesis::HierarchyKind;
+/// use p2_topology::presets;
+///
+/// let mut request = PlanRequest::new(presets::a100_system(2), vec![8, 4], vec![0])
+///     .with_bytes_per_device(1.0e9);
+/// request.session = request.session.hierarchy_kind(HierarchyKind::System);
+/// let default = PlanRequest::new(presets::a100_system(2), vec![8, 4], vec![0])
+///     .with_bytes_per_device(1.0e9);
+/// assert_ne!(request.fingerprint(), default.fingerprint());
+/// ```
 #[derive(Debug, Clone)]
 pub struct PlanRequest {
-    /// The system to plan for.
-    pub system: SystemTopology,
-    /// Parallelism axis sizes (product must equal the device count).
-    pub parallelism_axes: Vec<usize>,
-    /// Reduction axes (indices into `parallelism_axes`; order is
-    /// significant — it feeds the synthesis hierarchy's axis factors).
-    pub reduction_axes: Vec<usize>,
-    /// NCCL algorithm.
-    pub algo: NcclAlgo,
-    /// Per-device buffer bytes; `None` keeps the paper default.
-    pub bytes_per_device: Option<f64>,
-    /// Program-size limit; `None` keeps the default (5).
-    pub max_program_size: Option<usize>,
-    /// Noise fraction; `None` keeps the default.
-    pub noise_fraction: Option<f64>,
-    /// Substrate noise seed; `None` keeps the default.
-    pub seed: Option<u64>,
-    /// Simulated repeats per measurement; `None` keeps the default.
-    pub repeats: Option<usize>,
-    /// Bounded per-placement retention; `None` retains everything.
-    pub keep_top: Option<usize>,
-    /// Pruning slack (only meaningful with `keep_top`); `None` keeps the
-    /// default.
-    pub prune_slack: Option<f64>,
-    /// The run mode.
-    pub mode: RunMode,
-    /// Which cost model to build.
-    pub cost_model: CostModelKind,
+    /// The session to plan: system, axes and every result-relevant knob.
+    pub session: P2Builder,
     /// How many top programs the plan carries.
     pub top_k: usize,
 }
@@ -62,81 +51,36 @@ impl PlanRequest {
         reduction_axes: Vec<usize>,
     ) -> Self {
         PlanRequest {
-            system,
-            parallelism_axes,
-            reduction_axes,
-            algo: NcclAlgo::Ring,
-            bytes_per_device: None,
-            max_program_size: None,
-            noise_fraction: None,
-            seed: None,
-            repeats: None,
-            keep_top: None,
-            prune_slack: None,
-            mode: RunMode::Measure,
-            cost_model: CostModelKind::AlphaBeta,
+            session: P2::builder(system)
+                .parallelism_axes(parallelism_axes)
+                .reduction_axes(reduction_axes),
             top_k: DEFAULT_TOP_K,
         }
     }
 
-    /// Sets the NCCL algorithm.
-    pub fn with_algo(mut self, algo: NcclAlgo) -> Self {
-        self.algo = algo;
-        self
-    }
-
     /// Sets the per-device buffer size.
-    pub fn with_bytes_per_device(mut self, bytes: f64) -> Self {
-        self.bytes_per_device = Some(bytes);
-        self
-    }
-
-    /// Sets the program-size limit.
-    pub fn with_max_program_size(mut self, size: usize) -> Self {
-        self.max_program_size = Some(size);
-        self
-    }
-
-    /// Sets the noise fraction.
-    pub fn with_noise(mut self, noise_fraction: f64) -> Self {
-        self.noise_fraction = Some(noise_fraction);
-        self
+    pub fn with_bytes_per_device(self, bytes: f64) -> Self {
+        self.map_session(|session| session.bytes_per_device(bytes))
     }
 
     /// Sets the noise seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = Some(seed);
-        self
+    pub fn with_seed(self, seed: u64) -> Self {
+        self.map_session(|session| session.seed(seed))
     }
 
     /// Sets the repeats.
-    pub fn with_repeats(mut self, repeats: usize) -> Self {
-        self.repeats = Some(repeats);
-        self
+    pub fn with_repeats(self, repeats: usize) -> Self {
+        self.map_session(|session| session.repeats(repeats))
     }
 
     /// Sets bounded retention.
-    pub fn with_keep_top(mut self, keep_top: usize) -> Self {
-        self.keep_top = Some(keep_top);
-        self
-    }
-
-    /// Sets the pruning slack.
-    pub fn with_prune_slack(mut self, prune_slack: f64) -> Self {
-        self.prune_slack = Some(prune_slack);
-        self
+    pub fn with_keep_top(self, keep_top: usize) -> Self {
+        self.map_session(|session| session.keep_top(keep_top))
     }
 
     /// Sets the run mode.
-    pub fn with_mode(mut self, mode: RunMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
-    /// Sets the cost model kind.
-    pub fn with_cost_model(mut self, kind: CostModelKind) -> Self {
-        self.cost_model = kind;
-        self
+    pub fn with_mode(self, mode: RunMode) -> Self {
+        self.map_session(|session| session.mode(mode))
     }
 
     /// Sets how many top programs the plan carries.
@@ -145,49 +89,16 @@ impl PlanRequest {
         self
     }
 
-    /// The resolved [`P2Config`] — request knobs over paper defaults. The
-    /// cost model is *not* built here (building a calibrated model runs
-    /// measurement probes); [`PlanRequest::session`] resolves the kind at
-    /// build time.
-    fn config(&self) -> P2Config {
-        let mut config = P2Config::new(
-            self.system.clone(),
-            self.parallelism_axes.clone(),
-            self.reduction_axes.clone(),
-        );
-        config.algo = self.algo;
-        if let Some(bytes) = self.bytes_per_device {
-            config.bytes_per_device = bytes;
-        }
-        if let Some(size) = self.max_program_size {
-            config.max_program_size = size;
-        }
-        if let Some(noise) = self.noise_fraction {
-            config.noise_fraction = noise;
-        }
-        if let Some(seed) = self.seed {
-            config.seed = seed;
-        }
-        if let Some(repeats) = self.repeats {
-            config.repeats = repeats;
-        }
-        config.keep_top = self.keep_top;
-        if let Some(slack) = self.prune_slack {
-            config.prune_slack = slack;
-        }
-        config
+    fn map_session(mut self, set: impl FnOnce(P2Builder) -> P2Builder) -> Self {
+        self.session = set(self.session);
+        self
     }
 
     /// The canonical serialized form this request's fingerprint digests:
-    /// [`p2_core::canonical_session`] over the resolved configuration, plus
-    /// the cost-model *kind* token (the model itself is not built — its
-    /// behavior is fully determined by kind + configuration) and the plan's
-    /// `top_k`.
+    /// [`p2_core::canonical_session`] of the session description, plus the
+    /// plan's `top_k`.
     pub fn canonical_form(&self) -> String {
-        let mut out = canonical_session(&self.config(), self.mode);
-        out.push_str("cost_model_kind=");
-        out.push_str(self.cost_model.as_str());
-        out.push('\n');
+        let mut out = canonical_session(&self.session);
         out.push_str(&format!("plan.top_k={}\n", self.top_k));
         out
     }
@@ -200,20 +111,23 @@ impl PlanRequest {
     /// Builds the runnable session (validating the request). This is the
     /// miss path; hits never get here.
     pub fn session(&self) -> Result<P2, P2Error> {
-        P2Builder::from_config(self.config())
-            .cost_model_kind(self.cost_model)
-            .mode(self.mode)
-            .build()
+        self.session.clone().build()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use p2_cost::{CostModelKind, NcclAlgo};
+    use p2_synthesis::HierarchyKind;
     use p2_topology::presets;
 
     fn base() -> PlanRequest {
         PlanRequest::new(presets::a100_system(2), vec![8, 4], vec![0])
+    }
+
+    fn with_session(set: impl FnOnce(P2Builder) -> P2Builder) -> PlanRequest {
+        base().map_session(set)
     }
 
     #[test]
@@ -227,10 +141,11 @@ mod tests {
     fn explicit_defaults_match_implicit_defaults() {
         // Spelling out the default value of a knob is the same request.
         let implicit = base();
-        let explicit = base()
-            .with_algo(NcclAlgo::Ring)
-            .with_mode(RunMode::Measure)
-            .with_cost_model(CostModelKind::AlphaBeta);
+        let explicit = with_session(|s| {
+            s.algo(NcclAlgo::Ring)
+                .mode(RunMode::Measure)
+                .cost_model_kind(CostModelKind::AlphaBeta)
+        });
         assert_eq!(implicit.fingerprint(), explicit.fingerprint());
     }
 
@@ -238,16 +153,17 @@ mod tests {
     fn each_knob_changes_the_fingerprint() {
         let reference = base().fingerprint();
         let variants = [
-            base().with_algo(NcclAlgo::Tree),
+            with_session(|s| s.algo(NcclAlgo::Tree)),
             base().with_bytes_per_device(1.0e9),
-            base().with_max_program_size(4),
-            base().with_noise(0.0),
+            with_session(|s| s.max_program_size(4)),
+            with_session(|s| s.hierarchy_kind(HierarchyKind::System)),
+            with_session(|s| s.noise(0.0)),
             base().with_seed(1),
             base().with_repeats(2),
             base().with_keep_top(8),
-            base().with_prune_slack(0.25),
+            with_session(|s| s.prune_slack(0.25)),
             base().with_mode(RunMode::Shortlist(10)),
-            base().with_cost_model(CostModelKind::LogGp),
+            with_session(|s| s.cost_model_kind(CostModelKind::LogGp)),
             base().with_top_k(5),
         ];
         for (index, variant) in variants.iter().enumerate() {

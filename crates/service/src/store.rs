@@ -4,10 +4,12 @@
 //!
 //! Layout on disk is flat: `<dir>/<32-hex-fingerprint>.json`, written via a
 //! temp file + atomic rename so a crash mid-write can never leave a torn
-//! record under a valid address. Unreadable, corrupt, or
-//! schema-incompatible records are treated as misses (and counted), never
-//! as errors — a cache must degrade to "synthesize again", not fail the
-//! request.
+//! record under a valid address. Each record is framed by
+//! [`Fingerprint::seal`]: its first line is the fingerprint of the plan
+//! document after it, so a flipped digit that still parses is caught.
+//! Unreadable, corrupt, digest-mismatched or schema-incompatible records
+//! are treated as misses (and counted), never as errors — a cache must
+//! degrade to "synthesize again", not fail the request.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -174,7 +176,8 @@ impl PlanStore {
         let fingerprint = plan.fingerprint;
         self.insert_memory(Arc::clone(&plan));
         if let Some(path) = self.path_for(fingerprint) {
-            write_atomically(&path, &format!("{}\n", plan.to_json()))?;
+            let record = Fingerprint::seal(&plan.to_json().to_string());
+            write_atomically(&path, &format!("{record}\n"))?;
         }
         Ok(())
     }
@@ -260,13 +263,14 @@ impl PlanStore {
 
     fn read_record(&mut self, path: &Path, fingerprint: Fingerprint) -> Option<Plan> {
         let text = std::fs::read_to_string(path).ok()?;
-        let decoded = Json::parse(text.trim_end())
-            .ok()
+        let decoded = Fingerprint::unseal(text.trim_end())
+            .and_then(|document| Json::parse(document).ok())
             .and_then(|json| Plan::from_json(&json).ok())
             .filter(|plan| plan.fingerprint == fingerprint);
         if decoded.is_none() {
-            // Readable bytes that don't decode to this address: count the
-            // misread; the caller re-synthesizes and overwrites.
+            // Readable bytes that fail their digest or don't decode to this
+            // address: count the misread; the caller re-synthesizes and
+            // overwrites.
             self.disk_misreads += 1;
         }
         decoded
@@ -302,8 +306,8 @@ impl PlanStore {
         self.ttl_evictions
     }
 
-    /// Disk records that existed but failed to decode (corrupt, wrong
-    /// schema, or wrong address).
+    /// Disk records that existed but failed to decode (digest mismatch,
+    /// corrupt, wrong schema, or wrong address).
     pub fn disk_misreads(&self) -> u64 {
         self.disk_misreads
     }

@@ -20,11 +20,13 @@
 //! `system` is one of `a100` / `v100` / `v100-pcie` (with `nodes`),
 //! `figure2a`, or `rack` (with `racks`, `nodes_per_rack`, `gpus`, and an
 //! optional `oversubscription` ratio); a size of zero is a `protocol` error
-//! naming the field. Optional knobs mirror
-//! [`PlanRequest`]: `max_program_size`, `noise`, `seed`, `repeats`,
-//! `keep_top`, `prune_slack`, `top_k`, `shortlist` (with
+//! naming the field. Optional knobs set the request's session description
+//! ([`p2_core::P2Builder`]) and plan size: `max_program_size`, `noise`,
+//! `seed`, `repeats`, `keep_top`, `prune_slack`, `top_k`, `shortlist` (with
 //! `"mode":"shortlist"`). `null` leaves a knob unset; a knob of the wrong
 //! type is a `protocol` error naming it, never a fallback to its default.
+//! A `max_program_size` above [`MAX_PROGRAM_SIZE`](crate::MAX_PROGRAM_SIZE)
+//! decodes, and the planner refuses it with a `limit` error.
 //! The response carries the plan plus its request telemetry:
 //!
 //! ```json
@@ -35,14 +37,14 @@
 //! Errors come back as `{"ok":false,"error":"…","kind":"…"}` and never
 //! close the connection; parse failures of one line only fail that line.
 
-use p2_core::RunMode;
+use p2_core::{RunMode, P2};
 use p2_cost::{CostModelKind, NcclAlgo};
 use p2_topology::presets;
 
 use crate::error::ServiceError;
 use crate::json::{Json, JsonObject};
 use crate::planner::{PlanResponse, PlannerStats};
-use crate::request::PlanRequest;
+use crate::request::{PlanRequest, DEFAULT_TOP_K};
 
 /// A parsed wire request.
 #[derive(Debug, Clone)]
@@ -165,9 +167,11 @@ pub fn parse_request(line: &str) -> Result<WireRequest, ServiceError> {
                 .ok_or_else(|| ServiceError::Protocol("`axes` is required".to_string()))?;
             let reduction = get_list(&json, "reduction")?
                 .ok_or_else(|| ServiceError::Protocol("`reduction` is required".to_string()))?;
-            let mut request = PlanRequest::new(system, axes, reduction);
+            let mut session = P2::builder(system)
+                .parallelism_axes(axes)
+                .reduction_axes(reduction);
             if let Some(algo) = get_str(&json, "algo")? {
-                request.algo = match algo {
+                session = session.algo(match algo {
                     "ring" => NcclAlgo::Ring,
                     "tree" => NcclAlgo::Tree,
                     other => {
@@ -175,15 +179,16 @@ pub fn parse_request(line: &str) -> Result<WireRequest, ServiceError> {
                             "unknown algo `{other}` (expected ring or tree)"
                         )))
                     }
-                };
+                });
             }
             if let Some(kind) = get_str(&json, "cost_model")? {
-                request.cost_model = kind
+                let kind = kind
                     .parse::<CostModelKind>()
                     .map_err(|_| ServiceError::Protocol(format!("unknown cost model `{kind}`")))?;
+                session = session.cost_model_kind(kind);
             }
             if let Some(mode) = get_str(&json, "mode")? {
-                request.mode = match mode {
+                session = session.mode(match mode {
                     "measure" => RunMode::Measure,
                     "predict" | "predict-only" => RunMode::PredictOnly,
                     "shortlist" => {
@@ -199,18 +204,31 @@ pub fn parse_request(line: &str) -> Result<WireRequest, ServiceError> {
                             "unknown mode `{other}` (expected measure, predict, or shortlist)"
                         )))
                     }
-                };
+                });
             }
-            request.bytes_per_device = get_f64(&json, "bytes_per_device")?;
-            request.noise_fraction = get_f64(&json, "noise")?;
-            request.seed = get_u64(&json, "seed")?;
-            request.max_program_size = get_usize(&json, "max_program_size")?;
-            request.repeats = get_usize(&json, "repeats")?;
-            request.keep_top = get_usize(&json, "keep_top")?;
-            request.prune_slack = get_f64(&json, "prune_slack")?;
-            if let Some(top_k) = get_usize(&json, "top_k")? {
-                request.top_k = top_k;
+            if let Some(bytes) = get_f64(&json, "bytes_per_device")? {
+                session = session.bytes_per_device(bytes);
             }
+            if let Some(noise) = get_f64(&json, "noise")? {
+                session = session.noise(noise);
+            }
+            if let Some(seed) = get_u64(&json, "seed")? {
+                session = session.seed(seed);
+            }
+            if let Some(size) = get_usize(&json, "max_program_size")? {
+                session = session.max_program_size(size);
+            }
+            if let Some(repeats) = get_usize(&json, "repeats")? {
+                session = session.repeats(repeats);
+            }
+            if let Some(keep_top) = get_usize(&json, "keep_top")? {
+                session = session.keep_top(keep_top);
+            }
+            if let Some(slack) = get_f64(&json, "prune_slack")? {
+                session = session.prune_slack(slack);
+            }
+            let top_k = get_usize(&json, "top_k")?.unwrap_or(DEFAULT_TOP_K);
+            let request = PlanRequest { session, top_k };
             let tenant = get_str(&json, "tenant")?.unwrap_or("default").to_string();
             Ok(WireRequest::Plan {
                 tenant,
@@ -290,7 +308,8 @@ pub fn encode_stats(stats: &PlannerStats) -> String {
 }
 
 /// Renders an error response line, tagging the error kind for clients that
-/// branch on it (`overloaded` → back off, `protocol` → fix the request).
+/// branch on it (`overloaded` → back off, `protocol` or `limit` → fix the
+/// request, `internal` → the planner recovered; retry).
 pub fn encode_error(error: &ServiceError) -> String {
     let kind = match error {
         ServiceError::Pipeline(_) => "pipeline",
@@ -298,6 +317,8 @@ pub fn encode_error(error: &ServiceError) -> String {
         ServiceError::ShuttingDown => "shutting_down",
         ServiceError::Store(_) => "store",
         ServiceError::Protocol(_) => "protocol",
+        ServiceError::Limit(_) => "limit",
+        ServiceError::Internal(_) => "internal",
     };
     JsonObject::new()
         .push("ok", Json::Bool(false))
@@ -337,8 +358,9 @@ mod tests {
         let WireRequest::Plan { request, .. } = parse_request(&line).unwrap() else {
             panic!("expected a plan request");
         };
-        assert_eq!(request.mode, RunMode::Shortlist(10));
-        assert_eq!(request.system.num_devices(), 16);
+        let session = request.session().unwrap();
+        assert_eq!(session.mode(), RunMode::Shortlist(10));
+        assert_eq!(session.config().system.num_devices(), 16);
     }
 
     #[test]
@@ -452,5 +474,12 @@ mod tests {
         let json = Json::parse(&line).unwrap();
         assert_eq!(json.get("ok").and_then(Json::as_bool), Some(false));
         assert_eq!(json.get("kind").and_then(Json::as_str), Some("overloaded"));
+        for (error, kind) in [
+            (ServiceError::Limit("size".into()), "limit"),
+            (ServiceError::Internal("panic".into()), "internal"),
+        ] {
+            let json = Json::parse(&encode_error(&error)).unwrap();
+            assert_eq!(json.get("kind").and_then(Json::as_str), Some(kind));
+        }
     }
 }

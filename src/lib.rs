@@ -52,8 +52,8 @@ pub use p2_topology as topology;
 pub use p2_collectives::{Collective, State};
 pub use p2_core::{
     run_batch, top_k_accuracy, BatchOptions, BatchOutcome, ExperimentResult, P2Builder, P2Config,
-    P2Error, PendingSweep, PlacementEvaluation, ProgramEvaluation, ProgressObserver, RunMode,
-    RunObserver, TableSnapshot, TableStore, TableStoreStats, TopKReport, P2,
+    P2Error, PlacementEvaluation, ProgramEvaluation, ProgressObserver, RunMode, RunObserver,
+    TableSnapshot, TableStore, TableStoreStats, TopKReport, P2,
 };
 pub use p2_cost::{
     cost_model_from_args, AlphaBetaModel, CacheStats, CachedCostModel, CalibratedModel,

@@ -169,7 +169,6 @@ fn counting_sessions(model: &Arc<CountingModel>) -> Vec<P2> {
                 .repeats(2)
                 .seed(0x5eed)
                 .cost_model(Arc::clone(model) as Arc<dyn CostModel>)
-                .cost_cache(false)
                 .keep_top(4)
                 .build()
                 .unwrap()

@@ -9,16 +9,18 @@ use std::sync::Arc;
 
 use p2::collectives::SharedTables;
 use p2::{
-    presets, run_batch, BatchOptions, ExperimentResult, NcclAlgo, P2Config, RunMode,
+    presets, run_batch, BatchOptions, ExperimentResult, NcclAlgo, P2Builder, P2Config, RunMode,
     SystemTopology, TableStore, TableStoreStats, P2,
 };
 
-fn config(seed: u64) -> P2Config {
-    P2Config::new(presets::a100_system(2), vec![8, 4], vec![0])
-        .with_algo(NcclAlgo::Ring)
-        .with_bytes_per_device(1.0e9)
-        .with_repeats(2)
-        .with_seed(seed)
+fn session(seed: u64) -> P2Builder {
+    P2::builder(presets::a100_system(2))
+        .parallelism_axes([8, 4])
+        .reduction_axes([0])
+        .algo(NcclAlgo::Ring)
+        .bytes_per_device(1.0e9)
+        .repeats(2)
+        .seed(seed)
 }
 
 /// Strict equality of everything rankings are built from (synthesis wall-clock
@@ -45,29 +47,27 @@ fn assert_identical(a: &ExperimentResult, b: &ExperimentResult) {
 
 #[test]
 fn full_run_is_identical_across_thread_counts() {
-    let serial = P2::new(config(0x5eed).with_threads(1))
-        .unwrap()
-        .run()
-        .unwrap();
+    let serial = session(0x5eed).threads(1).run().unwrap();
     for threads in [0, 2, 4, 8] {
-        let parallel = P2::new(config(0x5eed).with_threads(threads))
-            .unwrap()
-            .run()
-            .unwrap();
+        let parallel = session(0x5eed).threads(threads).run().unwrap();
         assert_identical(&serial, &parallel);
     }
 }
 
 #[test]
 fn shortlist_run_is_identical_across_thread_counts() {
-    let p2_serial = P2::new(config(0xabcd).with_threads(1))
-        .unwrap()
-        .with_mode(RunMode::Shortlist(10));
+    let p2_serial = session(0xabcd)
+        .threads(1)
+        .mode(RunMode::Shortlist(10))
+        .build()
+        .unwrap();
     let serial = p2_serial.run().unwrap();
     for threads in [2, 4] {
-        let p2_parallel = P2::new(config(0xabcd).with_threads(threads))
-            .unwrap()
-            .with_mode(RunMode::Shortlist(10));
+        let p2_parallel = session(0xabcd)
+            .threads(threads)
+            .mode(RunMode::Shortlist(10))
+            .build()
+            .unwrap();
         assert_identical(&serial, &p2_parallel.run().unwrap());
     }
 }
@@ -95,11 +95,11 @@ fn builder_shortlist_is_bit_identical_to_config_with_mode() {
             .mode(RunMode::Shortlist(10))
             .run()
             .unwrap();
-        let config = P2Config::new(system, axes, reduction)
-            .with_algo(NcclAlgo::Ring)
-            .with_bytes_per_device(1.0e9)
-            .with_repeats(2)
-            .with_seed(0x5eed);
+        let mut config = P2Config::new(system, axes, reduction);
+        config.algo = NcclAlgo::Ring;
+        config.bytes_per_device = 1.0e9;
+        config.repeats = 2;
+        config.seed = 0x5eed;
         let via_config = P2::new(config)
             .unwrap()
             .with_mode(RunMode::Shortlist(10))
@@ -113,26 +113,22 @@ fn builder_shortlist_is_bit_identical_to_config_with_mode() {
 fn bounded_retention_is_identical_across_thread_counts() {
     // The streaming top-K retention and its pruning bounds are pure
     // per-placement state, so bounded runs must stay bit-identical too.
-    let serial = P2::new(config(0x5eed).with_keep_top(5).with_threads(1))
-        .unwrap()
-        .run()
-        .unwrap();
+    let serial = session(0x5eed).keep_top(5).threads(1).run().unwrap();
     for threads in [0, 2, 4] {
-        let parallel = P2::new(config(0x5eed).with_keep_top(5).with_threads(threads))
-            .unwrap()
-            .run()
-            .unwrap();
+        let parallel = session(0x5eed).keep_top(5).threads(threads).run().unwrap();
         assert_identical(&serial, &parallel);
     }
-    let shortlisted = P2::new(config(0x5eed).with_keep_top(5).with_threads(1))
-        .unwrap()
-        .with_mode(RunMode::Shortlist(5))
+    let shortlisted = session(0x5eed)
+        .keep_top(5)
+        .threads(1)
+        .mode(RunMode::Shortlist(5))
         .run()
         .unwrap();
     for threads in [2, 4] {
-        let parallel = P2::new(config(0x5eed).with_keep_top(5).with_threads(threads))
-            .unwrap()
-            .with_mode(RunMode::Shortlist(5))
+        let parallel = session(0x5eed)
+            .keep_top(5)
+            .threads(threads)
+            .mode(RunMode::Shortlist(5))
             .run()
             .unwrap();
         assert_identical(&shortlisted, &parallel);
@@ -146,12 +142,10 @@ fn bounded_retention_is_identical_across_thread_counts() {
 /// universes, final shared-interner size) agree for any thread count.
 #[test]
 fn shared_interning_is_invisible_in_results() {
-    let shared_serial = P2::new(config(0x5eed).with_threads(1))
-        .unwrap()
-        .run()
-        .unwrap();
-    let private_serial = P2::new(config(0x5eed).with_shared_intern(false).with_threads(1))
-        .unwrap()
+    let shared_serial = session(0x5eed).threads(1).run().unwrap();
+    let private_serial = session(0x5eed)
+        .shared_intern(false)
+        .threads(1)
         .run()
         .unwrap();
     assert_identical(&shared_serial, &private_serial);
@@ -179,10 +173,7 @@ fn shared_interning_is_invisible_in_results() {
     assert!(shared_size > 0 && shared_size <= per_placement_sum);
     assert_eq!(shared_serial.peak_unique_device_states(), shared_size);
     for threads in [0, 2, 4] {
-        let parallel = P2::new(config(0x5eed).with_threads(threads))
-            .unwrap()
-            .run()
-            .unwrap();
+        let parallel = session(0x5eed).threads(threads).run().unwrap();
         assert_identical(&shared_serial, &parallel);
         assert_eq!(
             parallel.shared_unique_device_states, shared_serial.shared_unique_device_states,
@@ -209,14 +200,13 @@ fn warm_started_runs_are_identical_to_cold_runs_for_any_thread_count() {
     ));
     let _ = std::fs::remove_dir_all(&dir);
     let store = TableStore::new(&dir);
-    let key = config(0x5eed).table_key();
-    let baseline = P2::new(config(0x5eed).with_threads(1))
-        .unwrap()
-        .run()
-        .unwrap();
+    let key = session(0x5eed).config().table_key();
+    let baseline = session(0x5eed).threads(1).run().unwrap();
     // A cold run on tables the caller owns, persisted by their owner.
     let cold_tables = Arc::new(SharedTables::new());
-    let cold = P2::new(config(0x5eed).with_threads(1))
+    let cold = session(0x5eed)
+        .threads(1)
+        .build()
         .unwrap()
         .with_shared_tables(Arc::clone(&cold_tables))
         .run()
@@ -232,7 +222,9 @@ fn warm_started_runs_are_identical_to_cold_runs_for_any_thread_count() {
         assert!(stats.loaded, "threads={threads}: snapshot must load");
         assert_eq!(stats.warm_states, cold_stats.saved_states);
         assert_eq!(stats.warm_apply_entries, cold_stats.saved_apply_entries);
-        let warm = P2::new(config(0x5eed).with_threads(threads))
+        let warm = session(0x5eed)
+            .threads(threads)
+            .build()
             .unwrap()
             .with_shared_tables(Arc::clone(&tables))
             .run()
@@ -253,8 +245,8 @@ fn warm_started_runs_are_identical_to_cold_runs_for_any_thread_count() {
 
 #[test]
 fn different_seeds_produce_different_measurements() {
-    let a = P2::new(config(1)).unwrap().run().unwrap();
-    let b = P2::new(config(2)).unwrap().run().unwrap();
+    let a = session(1).run().unwrap();
+    let b = session(2).run().unwrap();
     let measured = |r: &ExperimentResult| -> Vec<f64> {
         r.placements
             .iter()
@@ -278,16 +270,8 @@ fn different_seeds_produce_different_measurements() {
 
 #[test]
 fn repeated_runs_of_the_same_tool_are_identical() {
-    let tool = P2::new(config(0x7777)).unwrap();
+    let tool = session(0x7777).build().unwrap();
     assert_identical(&tool.run().unwrap(), &tool.run().unwrap());
-}
-
-fn batch_config(axes: Vec<usize>, reduction: Vec<usize>) -> P2Config {
-    P2Config::new(presets::a100_system(2), axes, reduction)
-        .with_algo(NcclAlgo::Ring)
-        .with_bytes_per_device(1.0e9)
-        .with_repeats(2)
-        .with_seed(0x5eed)
 }
 
 /// The batch-scheduling contract: a [`run_batch`] of several sessions on one
@@ -303,13 +287,18 @@ fn batched_sessions_are_identical_to_serial_runs_for_any_thread_count() {
         (vec![4, 8], vec![0]),
     ];
     let build = |axes: &Vec<usize>, reduction: &Vec<usize>, threads: usize| {
-        let session =
-            P2::new(batch_config(axes.clone(), reduction.clone()).with_threads(threads)).unwrap();
-        if *axes == vec![16, 2] {
-            session.with_mode(RunMode::Shortlist(5))
+        let mode = if *axes == vec![16, 2] {
+            RunMode::Shortlist(5)
         } else {
-            session
-        }
+            RunMode::Measure
+        };
+        session(0x5eed)
+            .parallelism_axes(axes.clone())
+            .reduction_axes(reduction.clone())
+            .threads(threads)
+            .mode(mode)
+            .build()
+            .unwrap()
     };
     let serial: Vec<ExperimentResult> = cases
         .iter()

@@ -1,15 +1,18 @@
 //! Cross-crate integration tests: the full P² pipeline on the paper's
 //! running example and on scaled-down versions of the evaluated systems.
 
-use p2::{presets, top_k_accuracy, HierarchyKind, NcclAlgo, P2Config, P2};
+use p2::{presets, top_k_accuracy, HierarchyKind, NcclAlgo, P2};
 
 /// The Figure 2 / Figure 3 running example end to end.
 #[test]
 fn figure2_running_example() {
-    let config = P2Config::new(presets::figure2a_system(), vec![4, 4], vec![1])
-        .with_bytes_per_device(50.0e6)
-        .with_repeats(2);
-    let result = P2::new(config).unwrap().run().unwrap();
+    let result = P2::builder(presets::figure2a_system())
+        .parallelism_axes(vec![4, 4])
+        .reduction_axes(vec![1])
+        .bytes_per_device(50.0e6)
+        .repeats(2)
+        .run()
+        .unwrap();
 
     // Figure 2 shows three placements; the enumeration finds them (plus one more).
     let matrices: Vec<String> = result
@@ -52,10 +55,13 @@ fn placement_impact_spans_orders_of_magnitude() {
     let system = presets::a100_system(2);
     let mut spreads = Vec::new();
     for reduction in [vec![0], vec![1]] {
-        let config = P2Config::new(system.clone(), vec![4, 8], reduction)
-            .with_bytes_per_device(2.0e9)
-            .with_repeats(2);
-        let result = P2::new(config).unwrap().run().unwrap();
+        let result = P2::builder(system.clone())
+            .parallelism_axes(vec![4, 8])
+            .reduction_axes(reduction)
+            .bytes_per_device(2.0e9)
+            .repeats(2)
+            .run()
+            .unwrap();
         let times: Vec<f64> = result
             .placements
             .iter()
@@ -75,10 +81,13 @@ fn placement_impact_spans_orders_of_magnitude() {
 /// hierarchical programs; Result 3: intra-node reductions are not.
 #[test]
 fn synthesis_helps_exactly_where_the_paper_says() {
-    let config = P2Config::new(presets::v100_system(2), vec![16], vec![0])
-        .with_bytes_per_device(2.0e9)
-        .with_repeats(3);
-    let result = P2::new(config).unwrap().run().unwrap();
+    let result = P2::builder(presets::v100_system(2))
+        .parallelism_axes(vec![16])
+        .reduction_axes(vec![0])
+        .bytes_per_device(2.0e9)
+        .repeats(3)
+        .run()
+        .unwrap();
     let placement = &result.placements[0];
     // The single axis spans both nodes, so a hierarchical program must win.
     assert!(placement.programs_beating_allreduce() > 0);
@@ -90,10 +99,13 @@ fn synthesis_helps_exactly_where_the_paper_says() {
 
     // Intra-node reduction: the placement [[1 8][2 1]] keeps the reduction
     // axis inside one node; AllReduce is already optimal there.
-    let config = P2Config::new(presets::v100_system(2), vec![8, 2], vec![0])
-        .with_bytes_per_device(2.0e9)
-        .with_repeats(3);
-    let result = P2::new(config).unwrap().run().unwrap();
+    let result = P2::builder(presets::v100_system(2))
+        .parallelism_axes(vec![8, 2])
+        .reduction_axes(vec![0])
+        .bytes_per_device(2.0e9)
+        .repeats(3)
+        .run()
+        .unwrap();
     let local = result
         .placements
         .iter()
@@ -117,10 +129,15 @@ fn simulator_top_k_accuracy_is_high() {
         (vec![4, 8], vec![0]),
         (vec![2, 16], vec![1]),
     ] {
-        let config = P2Config::new(presets::a100_system(2), axes, reduction)
-            .with_bytes_per_device(1.0e9)
-            .with_repeats(2);
-        results.push(P2::new(config).unwrap().run().unwrap());
+        results.push(
+            P2::builder(presets::a100_system(2))
+                .parallelism_axes(axes)
+                .reduction_axes(reduction)
+                .bytes_per_device(1.0e9)
+                .repeats(2)
+                .run()
+                .unwrap(),
+        );
     }
     let report = top_k_accuracy(&results, &[1, 5, 10]);
     let top10 = report.accuracy_for(10).unwrap();
@@ -192,11 +209,14 @@ fn reduction_hierarchy_is_smallest_and_most_expressive() {
 fn ring_and_tree_both_supported() {
     let mut totals = Vec::new();
     for algo in NcclAlgo::ALL {
-        let config = P2Config::new(presets::v100_system(2), vec![4, 4], vec![0])
-            .with_algo(algo)
-            .with_bytes_per_device(1.0e9)
-            .with_repeats(2);
-        let result = P2::new(config).unwrap().run().unwrap();
+        let result = P2::builder(presets::v100_system(2))
+            .parallelism_axes(vec![4, 4])
+            .reduction_axes(vec![0])
+            .algo(algo)
+            .bytes_per_device(1.0e9)
+            .repeats(2)
+            .run()
+            .unwrap();
         totals.push(result.best_overall().unwrap().measured_seconds);
     }
     assert!(totals.iter().all(|&t| t > 0.0));

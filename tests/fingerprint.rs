@@ -10,7 +10,7 @@ use proptest::prelude::*;
 
 use p2::service::PlanRequest;
 use p2::topology::presets;
-use p2::{CostModelKind, NcclAlgo, RunMode};
+use p2::{CostModelKind, NcclAlgo, RunMode, SystemTopology, P2};
 
 /// The index-encoded knob set a test case explores. Every index resolves to
 /// an explicit value distinct from the paper defaults, so "cycle the index"
@@ -70,14 +70,18 @@ fn cycle(mut k: Knobs, which: usize) -> Knobs {
     k
 }
 
-fn base(k: &Knobs) -> PlanRequest {
+fn system_and_axes(k: &Knobs) -> (SystemTopology, Vec<usize>) {
     // Each system comes with axes matching its device count; two of the
     // three have identical axes so only the topology distinguishes them.
-    let (system, axes) = match k.system {
+    match k.system {
         0 => (presets::a100_system(2), vec![8, 4]),
         1 => (presets::v100_system(2), vec![4, 4]),
         _ => (presets::rack_node_gpu_system(2, 2, 4), vec![4, 4]),
-    };
+    }
+}
+
+fn base(k: &Knobs) -> PlanRequest {
+    let (system, axes) = system_and_axes(k);
     PlanRequest::new(system, axes, vec![0])
 }
 
@@ -104,13 +108,11 @@ fn top_k(k: &Knobs) -> usize {
     [3, 1, 2, 5][k.top_k]
 }
 
-/// Builds the request through the `with_*` setters, front to back.
+/// Builds the request through the `with_*` forwarders and the session's own
+/// setters, front to back.
 fn build_forward(k: &Knobs) -> PlanRequest {
-    let mut request = base(k)
-        .with_algo(algo(k))
-        .with_mode(mode(k))
-        .with_cost_model(cost_model(k))
-        .with_top_k(top_k(k));
+    let mut request = base(k).with_mode(mode(k)).with_top_k(top_k(k));
+    request.session = request.session.algo(algo(k)).cost_model_kind(cost_model(k));
     if let Some(bytes) = BYTES[k.bytes] {
         request = request.with_bytes_per_device(bytes);
     }
@@ -141,26 +143,74 @@ fn build_reverse(k: &Knobs) -> PlanRequest {
     if let Some(bytes) = BYTES[k.bytes] {
         request = request.with_bytes_per_device(bytes);
     }
-    request
-        .with_top_k(top_k(k))
-        .with_cost_model(cost_model(k))
-        .with_mode(mode(k))
-        .with_algo(algo(k))
+    request.session = request.session.cost_model_kind(cost_model(k)).algo(algo(k));
+    request.with_top_k(top_k(k)).with_mode(mode(k))
 }
 
-/// The same request through direct field assignment — a different
-/// constructor path entirely.
+/// The same request as a struct literal over a session builder assembled
+/// directly, axes last — a different constructor path entirely.
 fn build_fields(k: &Knobs) -> PlanRequest {
-    let mut request = base(k);
-    request.algo = algo(k);
-    request.bytes_per_device = BYTES[k.bytes];
-    request.seed = SEEDS[k.seed];
-    request.repeats = REPEATS[k.repeats];
-    request.keep_top = KEEP_TOP[k.keep_top];
-    request.mode = mode(k);
-    request.cost_model = cost_model(k);
-    request.top_k = top_k(k);
-    request
+    let (system, axes) = system_and_axes(k);
+    let mut session = P2::builder(system)
+        .mode(mode(k))
+        .cost_model_kind(cost_model(k))
+        .algo(algo(k));
+    if let Some(bytes) = BYTES[k.bytes] {
+        session = session.bytes_per_device(bytes);
+    }
+    if let Some(seed) = SEEDS[k.seed] {
+        session = session.seed(seed);
+    }
+    if let Some(repeats) = REPEATS[k.repeats] {
+        session = session.repeats(repeats);
+    }
+    if let Some(keep_top) = KEEP_TOP[k.keep_top] {
+        session = session.keep_top(keep_top);
+    }
+    PlanRequest {
+        session: session.reduction_axes([0]).parallelism_axes(axes),
+        top_k: top_k(k),
+    }
+}
+
+/// Literal fingerprints of three requests — the default one, `planner_mix`'s
+/// request shape and one that sets every knob. Plans persisted under these
+/// addresses stay reachable only while the canonical bytes stay put.
+#[test]
+fn literal_fingerprints_are_pinned() {
+    let default = PlanRequest::new(presets::a100_system(2), vec![8, 4], vec![0]);
+    assert_eq!(
+        default.fingerprint().to_string(),
+        "8a460d66733100fcf593ff9287ba372f"
+    );
+    let planner_mix = PlanRequest::new(presets::rack_node_gpu_system(2, 2, 4), vec![4, 4], vec![0])
+        .with_bytes_per_device(1.0e9)
+        .with_repeats(2)
+        .with_keep_top(8)
+        .with_mode(RunMode::Shortlist(5))
+        .with_seed(7);
+    assert_eq!(
+        planner_mix.fingerprint().to_string(),
+        "d7dbe4b951db8d2f18f56aee4c915c40"
+    );
+    let mut every_knob = PlanRequest::new(presets::v100_system(4), vec![8, 2, 2], vec![0, 2])
+        .with_bytes_per_device(2.5e8)
+        .with_seed(42)
+        .with_repeats(3)
+        .with_keep_top(12)
+        .with_mode(RunMode::PredictOnly)
+        .with_top_k(5);
+    every_knob.session = every_knob
+        .session
+        .algo(NcclAlgo::Tree)
+        .max_program_size(4)
+        .noise(0.0)
+        .prune_slack(0.25)
+        .cost_model_kind(CostModelKind::LogGp);
+    assert_eq!(
+        every_knob.fingerprint().to_string(),
+        "1a82494774603976edc753ad4af3432f"
+    );
 }
 
 proptest! {

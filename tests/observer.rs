@@ -317,7 +317,6 @@ fn panicking_worker_fails_the_shared_bound_run_instead_of_hanging() {
     let counting = CountingModel::new();
     builder(4)
         .cost_model(Arc::clone(&counting) as Arc<dyn CostModel>)
-        .cost_cache(false)
         .build()
         .unwrap()
         .run()
@@ -332,7 +331,6 @@ fn panicking_worker_fails_the_shared_bound_run_instead_of_hanging() {
     let exploding = |threads: usize| {
         builder(threads)
             .cost_model(ExplodingModel::new(inject_at) as Arc<dyn CostModel>)
-            .cost_cache(false)
             .build()
             .unwrap()
     };
@@ -367,7 +365,6 @@ fn single_pass_matches_two_pass_best_with_strictly_fewer_predictions() {
             let model = CountingModel::new();
             let mut builder = builder(threads)
                 .cost_model(Arc::clone(&model) as Arc<dyn CostModel>)
-                .cost_cache(false)
                 .mode(RunMode::Shortlist(4));
             if let Some(k) = keep_top {
                 builder = builder.keep_top(k);

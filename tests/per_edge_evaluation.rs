@@ -17,7 +17,7 @@ use p2::exec::{ExecConfig, Executor};
 use p2::placement::ordered_factorizations;
 use p2::synthesis::{baseline_allreduce, HierarchyKind, LoweredProgram, Program, Synthesizer};
 use p2::topology::{Hierarchy, Interconnect, SystemTopology};
-use p2::{ExperimentResult, P2Config, RunMode, P2};
+use p2::{ExperimentResult, P2Builder, RunMode, P2};
 
 const KINDS: [HierarchyKind; 4] = [
     HierarchyKind::ReductionAxes,
@@ -29,7 +29,7 @@ const KINDS: [HierarchyKind; 4] = [
 /// Strategy: a small 2-level system, a factorization of its devices into 1–2
 /// axes with one reduction axis, a hierarchy kind, a run mode and an optional
 /// retention bound.
-fn scenario() -> impl Strategy<Value = (P2Config, RunMode)> {
+fn scenario() -> impl Strategy<Value = P2Builder> {
     (2usize..=3, 2usize..=4, 1usize..=2).prop_flat_map(|(nodes, gpus, num_axes)| {
         let factorizations = ordered_factorizations(nodes * gpus, num_axes);
         (
@@ -51,22 +51,25 @@ fn scenario() -> impl Strategy<Value = (P2Config, RunMode)> {
                     } else {
                         2
                     };
-                    let mut config =
-                        P2Config::new(system, factorizations[fi].clone(), vec![reduction_axis])
-                            .with_bytes_per_device(1.0e8)
-                            .with_repeats(repeats)
-                            .with_seed(seed)
-                            .with_max_program_size(size)
-                            .with_hierarchy_kind(kind);
-                    if keep_top > 0 {
-                        config = config.with_keep_top(keep_top);
-                    }
                     let mode = match mode {
                         0 => RunMode::Measure,
                         1 => RunMode::Shortlist(1 + seed as usize % 4),
                         _ => RunMode::PredictOnly,
                     };
-                    (config, mode)
+                    let session = P2::builder(system)
+                        .parallelism_axes(factorizations[fi].clone())
+                        .reduction_axes([reduction_axis])
+                        .bytes_per_device(1.0e8)
+                        .repeats(repeats)
+                        .seed(seed)
+                        .max_program_size(size)
+                        .hierarchy_kind(kind)
+                        .mode(mode);
+                    if keep_top > 0 {
+                        session.keep_top(keep_top)
+                    } else {
+                        session
+                    }
                 },
             )
     })
@@ -98,7 +101,8 @@ fn heap_order(a: &Evaluated, b: &Evaluated) -> Ordering {
 /// The pipeline's evaluation, one program at a time: lower, predict with
 /// `program_time` (pruning on the prefix folds when retention is bounded)
 /// and measure every program on an executor of its own.
-fn oracle(config: &P2Config, mode: RunMode) -> Vec<OraclePlacement> {
+fn oracle(session: &P2) -> Vec<OraclePlacement> {
+    let config = session.config();
     let model =
         AlphaBetaModel::new(config.system.clone(), config.algo, config.bytes_per_device).unwrap();
     let exec = ExecConfig::new(config.algo, config.bytes_per_device)
@@ -110,8 +114,7 @@ fn oracle(config: &P2Config, mode: RunMode) -> Vec<OraclePlacement> {
             .unwrap()
             .measure(lowered)
     };
-    let measure_programs = mode == RunMode::Measure;
-    let session = P2::new(config.clone()).unwrap();
+    let measure_programs = session.mode() == RunMode::Measure;
     let mut placements = Vec::new();
     for matrix in session.placements().unwrap() {
         let synth = Synthesizer::new(
@@ -176,7 +179,7 @@ fn oracle(config: &P2Config, mode: RunMode) -> Vec<OraclePlacement> {
             programs: kept,
         });
     }
-    if let RunMode::Shortlist(n) = mode {
+    if let RunMode::Shortlist(n) = session.mode() {
         let mut order: Vec<(usize, usize, f64)> = placements
             .iter()
             .enumerate()
@@ -239,13 +242,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
-    fn pipeline_matches_the_per_program_oracle((config, mode) in scenario()) {
-        let expected = oracle(&config, mode);
+    fn pipeline_matches_the_per_program_oracle(session in scenario()) {
+        let expected = oracle(&session.clone().build().unwrap());
         for threads in [1usize, 4] {
-            let session = P2::new(config.clone().with_threads(threads))
-                .unwrap()
-                .with_mode(mode);
-            let result = session.run().unwrap();
+            let result = session.clone().threads(threads).run().unwrap();
             assert_matches_oracle(&result, &expected)?;
         }
     }

@@ -6,15 +6,22 @@
 //! * concurrent identical requests coalesce to exactly one synthesis,
 //! * a cached plan is bit-identical to a fresh `P2` run of the same request,
 //!   for any worker-thread count and steal seed, including after a disk
-//!   round trip.
+//!   round trip,
+//! * a damaged plan record is a miss, and a panicking batch fails its
+//!   requests with a typed error while the planner keeps serving,
+//! * any session description plans, synthesis hierarchy included.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc;
 use std::sync::{Arc, Barrier};
 use std::thread;
+use std::time::Duration;
 
 use p2::placement::ParallelismMatrix;
 use p2::topology::presets;
-use p2::{Plan, PlanRequest, PlanSource, Planner, PlannerConfig, RunObserver};
+use p2::{
+    HierarchyKind, Plan, PlanRequest, PlanSource, Planner, PlannerConfig, RunObserver, ServiceError,
+};
 
 /// Counts placement-sweep starts — any synthesis work at all shows up here.
 #[derive(Default)]
@@ -170,4 +177,134 @@ fn cached_plans_are_bit_identical_to_fresh_runs_for_any_schedule() {
         planner.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// Asserts two plans agree bit for bit, measurement and prediction bits
+/// included.
+fn assert_bit_identical(a: &Plan, b: &Plan) {
+    assert_eq!(a.fingerprint, b.fingerprint);
+    assert_eq!(a.label, b.label);
+    assert_eq!(a.entries, b.entries);
+    for (x, y) in a.entries.iter().zip(&b.entries) {
+        assert_eq!(x.predicted_seconds.to_bits(), y.predicted_seconds.to_bits());
+        assert_eq!(x.measured_seconds.to_bits(), y.measured_seconds.to_bits());
+    }
+}
+
+/// The plan a fresh, planner-free pipeline run of `request` yields.
+fn fresh_plan(request: &PlanRequest) -> Plan {
+    let result = request
+        .session()
+        .expect("request builds")
+        .run()
+        .expect("pipeline runs");
+    Plan::from_result(request.fingerprint(), &result, request.top_k)
+}
+
+#[test]
+fn a_plan_record_with_a_flipped_digit_is_a_miss_and_replans_bit_identically() {
+    let dir = temp_store("flipped-record");
+    let _ = std::fs::remove_dir_all(&dir);
+    let planner = Planner::new(config(2, 0, &dir)).expect("planner starts");
+    let cold = planner.plan("flip", rack_request()).expect("cold plan");
+    planner.shutdown();
+    // Flip the low bit of one decimal digit in the first entry's
+    // `measured_bits`: the record still parses, to a different time.
+    let path = dir.join(format!("{}.json", cold.fingerprint));
+    let mut record = std::fs::read(&path).expect("record written");
+    let field = b"\"measured_bits\":\"0x";
+    let start = record
+        .windows(field.len())
+        .position(|window| window == field)
+        .expect("measured bits in the record")
+        + field.len();
+    let digit = (start..start + 16)
+        .rev()
+        .find(|&i| record[i].is_ascii_digit())
+        .expect("a decimal digit among the hex digits");
+    record[digit] ^= 1;
+    std::fs::write(&path, &record).unwrap();
+
+    let restarted = Planner::new(config(2, 0, &dir)).expect("planner restarts");
+    let replanned = restarted.plan("flip", rack_request()).expect("replan");
+    restarted.shutdown();
+    assert_eq!(replanned.source, PlanSource::Synthesized);
+    // A miss probes the store twice (before and under the pending lock),
+    // and each probe counts the damaged record.
+    assert!(restarted.stats().disk_misreads >= 1);
+    assert_eq!(restarted.stats().disk_hits, 0);
+    assert_bit_identical(&replanned.plan, &cold.plan);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Panics the first time any placement starts, then observes nothing.
+#[derive(Default)]
+struct PanicsOnce(AtomicBool);
+
+impl RunObserver for PanicsOnce {
+    fn on_placement_start(&self, _index: usize, _matrix: &ParallelismMatrix) {
+        if !self.0.swap(true, Ordering::SeqCst) {
+            panic!("observer panics once");
+        }
+    }
+}
+
+#[test]
+fn a_panicking_batch_fails_its_requests_and_the_planner_keeps_serving() {
+    let config = PlannerConfig {
+        threads: 2,
+        ..PlannerConfig::default()
+    };
+    let planner = Arc::new(
+        Planner::with_observer(config, Arc::new(PanicsOnce::default())).expect("planner starts"),
+    );
+    let request = PlanRequest::new(presets::a100_system(2), vec![8, 4], vec![0])
+        .with_bytes_per_device(1.0e9)
+        .with_repeats(2);
+    let (answered, answer) = mpsc::channel();
+    let client = {
+        let (planner, request) = (Arc::clone(&planner), request.clone());
+        thread::spawn(move || {
+            let _ = answered.send(planner.plan("panic", request));
+        })
+    };
+    let first = answer
+        .recv_timeout(Duration::from_secs(60))
+        .expect("the panicking batch is answered instead of hanging");
+    client.join().expect("client thread");
+    assert!(
+        matches!(first, Err(ServiceError::Internal(_))),
+        "expected an internal error, got {first:?}"
+    );
+    // The worker survived and serves the same request from fresh tables.
+    let second = planner.plan("panic", request.clone()).expect("replan");
+    assert_eq!(second.source, PlanSource::Synthesized);
+    assert_bit_identical(&second.plan, &fresh_plan(&request));
+    planner.shutdown();
+}
+
+#[test]
+fn a_session_with_the_system_hierarchy_plans_like_a_direct_run() {
+    let default = PlanRequest::new(presets::a100_system(2), vec![8, 4], vec![0])
+        .with_bytes_per_device(1.0e9)
+        .with_repeats(2);
+    let mut system = default.clone();
+    system.session = system.session.hierarchy_kind(HierarchyKind::System);
+    assert_ne!(system.fingerprint(), default.fingerprint());
+    let planner = Planner::new(PlannerConfig {
+        threads: 2,
+        ..PlannerConfig::default()
+    })
+    .expect("planner starts");
+    let planned = planner.plan("hierarchy", system.clone()).expect("plan");
+    planner.shutdown();
+    assert_eq!(planned.source, PlanSource::Synthesized);
+    assert_eq!(planned.fingerprint, system.fingerprint());
+    let direct = system
+        .session
+        .clone()
+        .run()
+        .expect("direct run of the same session");
+    let reference = Plan::from_result(system.fingerprint(), &direct, system.top_k);
+    assert_bit_identical(&planned.plan, &reference);
 }

@@ -154,13 +154,15 @@ proptest! {
     /// bit-identical to one without, predictions and measurements alike.
     #[test]
     fn pipeline_results_are_cache_invariant((system, axes, reduction_axis) in small_scenario()) {
-        let config = P2Config::new(system, axes, vec![reduction_axis])
-            .with_bytes_per_device(1.0e8)
-            .with_repeats(1)
-            .with_max_program_size(3)
-            .with_threads(2);
-        let cached = P2::new(config.clone().with_cost_cache(true)).unwrap().run().unwrap();
-        let uncached = P2::new(config.with_cost_cache(false)).unwrap().run().unwrap();
+        let mut config = P2Config::new(system, axes, vec![reduction_axis]);
+        config.bytes_per_device = 1.0e8;
+        config.repeats = 1;
+        config.max_program_size = 3;
+        config.threads = 2;
+        config.cost_cache = true;
+        let cached = P2::new(config.clone()).unwrap().run().unwrap();
+        config.cost_cache = false;
+        let uncached = P2::new(config).unwrap().run().unwrap();
         prop_assert_eq!(cached.placements.len(), uncached.placements.len());
         for (pa, pb) in cached.placements.iter().zip(&uncached.placements) {
             prop_assert_eq!(&pa.matrix, &pb.matrix);

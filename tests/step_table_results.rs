@@ -161,7 +161,6 @@ fn a_sweep_predicts_each_distinct_layout_once_per_placement() {
         });
         let result = a100_8x4()
             .cost_model(Arc::clone(&model) as Arc<dyn CostModel>)
-            .cost_cache(false)
             .mode(RunMode::PredictOnly)
             .threads(threads)
             .run()

@@ -1,26 +1,28 @@
 //! The streaming synthesis → evaluation pipeline: bounded top-K retention
-//! (`P2Config::with_keep_top`) plus cost-bounded pruning must land on the
+//! (`P2Builder::keep_top`) plus cost-bounded pruning must land on the
 //! same best program as the exhaustive keep-everything pipeline while
 //! retaining strictly fewer `ProgramEvaluation`s — the deployment contract
 //! of P²'s "synthesize everything, measure a shortlist" story.
 
-use p2::{presets, NcclAlgo, P2Config, RunMode, P2};
+use p2::{presets, NcclAlgo, P2Builder, RunMode, P2};
 
 /// The tier-1 small configuration (same shape as the determinism suite).
-fn config() -> P2Config {
-    P2Config::new(presets::a100_system(2), vec![8, 4], vec![0])
-        .with_algo(NcclAlgo::Ring)
-        .with_bytes_per_device(1.0e9)
-        .with_repeats(2)
-        .with_seed(0x5eed)
+fn session() -> P2Builder {
+    P2::builder(presets::a100_system(2))
+        .parallelism_axes([8, 4])
+        .reduction_axes([0])
+        .algo(NcclAlgo::Ring)
+        .bytes_per_device(1.0e9)
+        .repeats(2)
+        .seed(0x5eed)
 }
 
 #[test]
 fn bounded_full_run_preserves_best_overall_for_any_keep_top() {
-    let exhaustive = P2::new(config()).unwrap().run().unwrap();
+    let exhaustive = session().run().unwrap();
     let best = exhaustive.best_overall().unwrap();
     for k in [1usize, 2, 4, 16] {
-        let bounded = P2::new(config().with_keep_top(k)).unwrap().run().unwrap();
+        let bounded = session().keep_top(k).run().unwrap();
         // The search space is identical; only retention is bounded.
         assert_eq!(bounded.total_programs(), exhaustive.total_programs());
         assert!(
@@ -52,14 +54,10 @@ fn bounded_shortlist_reaches_the_exhaustive_best_with_fewer_retained() {
     // the measured shortlist; on this configuration the slack bound prunes no
     // shortlist member either, so the chosen optimum matches the exhaustive
     // run exactly (this test pins that empirical contract).
-    let exhaustive = P2::new(config())
-        .unwrap()
-        .with_mode(RunMode::Shortlist(10))
-        .run()
-        .unwrap();
-    let bounded = P2::new(config().with_keep_top(10))
-        .unwrap()
-        .with_mode(RunMode::Shortlist(10))
+    let exhaustive = session().mode(RunMode::Shortlist(10)).run().unwrap();
+    let bounded = session()
+        .keep_top(10)
+        .mode(RunMode::Shortlist(10))
         .run()
         .unwrap();
 
@@ -84,14 +82,8 @@ fn bounded_shortlist_reaches_the_exhaustive_best_with_fewer_retained() {
 
 #[test]
 fn wider_slack_prunes_less() {
-    let tight = P2::new(config().with_keep_top(8).with_prune_slack(0.0))
-        .unwrap()
-        .run()
-        .unwrap();
-    let wide = P2::new(config().with_keep_top(8).with_prune_slack(10.0))
-        .unwrap()
-        .run()
-        .unwrap();
+    let tight = session().keep_top(8).prune_slack(0.0).run().unwrap();
+    let wide = session().keep_top(8).prune_slack(10.0).run().unwrap();
     // The slack bound is the only difference; a looser bound can only let
     // more candidates through to the retention heap.
     assert!(tight.total_programs_pruned() >= wide.total_programs_pruned());
